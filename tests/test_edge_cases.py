@@ -64,6 +64,9 @@ def test_empty_corpus_file(ray_session, tmp_path):
     assert len(ids) == 0
     env = search_one(snap, "anything")
     assert env["total_results"] == 0 and env["results"] == []
+    from uci_searchengine_ray.state.docstore import DocStore
+
+    assert DocStore(snap).fetch([1, 2, 3]) == {}
 
 
 def test_all_unindexable_corpus(ray_session, tmp_path):
@@ -94,6 +97,55 @@ def test_store_content_false(ray_session, tmp_path):
     env = search_one(snap, "alpha", per_page=5)
     assert env["total_results"] == 1
     assert env["results"][0]["snippet"] == "..."  # no-content fallback
+
+
+def _scan_fetch(snap, ids):
+    """The doc_meta rows for ``ids`` straight from a filtered parquet scan."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pa_ds
+
+    tbl = pa_ds.dataset(os.path.join(snap, "doc_meta"), format="parquet").to_table(
+        columns=["doc_id", "url", "title", "content"],
+        filter=pc.field("doc_id").isin(ids),
+    )
+    return {r["doc_id"]: r for r in tbl.to_pylist()}
+
+
+def test_docstore_fetch_matches_scan(built_index):
+    """Resident lookups over a multi-group snapshot equal a filtered scan:
+    random pages, ids the store lacks, duplicate ids and an empty page."""
+    import glob
+    import os
+    import random
+
+    import pyarrow.dataset as pa_ds
+
+    from uci_searchengine_ray.state.docstore import DocStore
+
+    assert len(glob.glob(os.path.join(built_index, "doc_meta", "group=*"))) > 1
+    all_ids = pa_ds.dataset(
+        os.path.join(built_index, "doc_meta"), format="parquet"
+    ).to_table(columns=["doc_id"])["doc_id"].to_pylist()
+    store = DocStore(built_index)
+    rng = random.Random(7)
+    missing = sorted({0, 1, -5, 2**62 + 3, max(all_ids) + 1} - set(all_ids))
+    pages = [rng.sample(all_ids, 10) for _ in range(20)]
+    pages += [
+        rng.sample(all_ids, 4) + missing,   # ids absent from the store
+        missing,                            # nothing found
+        [all_ids[3]] * 3 + all_ids[5:8] + [all_ids[5]],  # duplicates
+        [],
+        all_ids,                            # the whole store
+    ]
+    for page in pages:
+        assert store.fetch(page) == _scan_fetch(built_index, page)
+    assert store.fetch([]) == {}
+    row = store.fetch(all_ids[:1], columns=("title",))[all_ids[0]]
+    assert list(row) == ["title"]
+    with pytest.raises(KeyError):  # doc_meta has lang, but not resident
+        store.fetch(all_ids[:1], columns=("doc_id", "lang"))
 
 
 def test_config_drift_rejected_on_continue(ray_session, tmp_path):

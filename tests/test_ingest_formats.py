@@ -176,3 +176,37 @@ def test_reingest_clears_stale_parts(ray_session, tmp_path):
     from uci_searchengine_ray.state.storage import parquet_rows
 
     assert parquet_rows(out) == 1  # old parts cleared, not unioned
+
+
+def test_write_corpus_refuses_foreign_directory(ray_session, jsonl_file, tmp_path):
+    """A non-empty directory write_corpus did not write is left intact."""
+    import pyarrow.parquet as pq
+
+    out = tmp_path / "real_dataset"
+    out.mkdir()
+    for i in range(2):
+        pq.write_table(pa.table({"x": [i]}), str(out / f"part-{i}.parquet"))
+    before = sorted(os.listdir(out))
+    with pytest.raises(ValueError, match="not written by write_corpus"):
+        write_corpus(corpus_from_jsonl(jsonl_file, id_col="rid"), str(out))
+    assert sorted(os.listdir(out)) == before
+    assert pq.read_table(str(out / "part-1.parquet"))["x"].to_pylist() == [1]
+
+
+def test_jsonl_discovery_needs_dotted_extension(ray_session, tmp_path):
+    """Directory discovery takes .jsonl/.json/.ndjson(.gz) members only, not
+    names that merely end in those letters."""
+    d = tmp_path / "dump"
+    d.mkdir()
+    with open(d / "a.ndjson", "w") as f:
+        for r in ROWS[:2]:
+            f.write(json.dumps(r) + "\n")
+    for name in ("data_json", "x.notjson", "notes_jsonl"):
+        (d / name).write_text("not json at all\n")
+    df = corpus_from_jsonl(str(d), id_col="rid").to_pandas()
+    assert sorted(df["doc_id"]) == [1, 2]
+    only_foreign = tmp_path / "foreign"
+    only_foreign.mkdir()
+    (only_foreign / "data_json").write_text("{}\n")
+    with pytest.raises(FileNotFoundError):
+        corpus_from_jsonl(str(only_foreign))

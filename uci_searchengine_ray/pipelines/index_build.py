@@ -57,17 +57,6 @@ from ..stages.postings import TokenizeEncodeRuns, make_merge_shard
 STAGE_RUNS = "runs"
 STAGE_POSTINGS = "postings"
 
-_TIMING = os.environ.get("UCIRAY_TIMING") == "1"
-
-
-def _tlog(label: str, t0: float) -> None:
-    if _TIMING:
-        import sys
-        import time
-
-        print(f"TIMING {label}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-
-
 def _input_files(corpus_path: str) -> Tuple["object", List[str]]:
     """(filesystem, file list) for a corpus path/URI (file or directory)."""
     cfs, cpath = storage.resolve(corpus_path)
@@ -171,8 +160,6 @@ def build_index(
         for sub in (STAGE_POSTINGS, "term_stats"):
             storage.rm_tree(fs, storage.join(root, sub))
         manifest.drop_stage(index_dir, STAGE_POSTINGS)
-
-    import time as _time
 
     cfs, files = _input_files(corpus_path)
 
@@ -295,7 +282,6 @@ def build_index(
         # task scheduling avoids pool spin-up latency (measured 13s → 5s on a
         # 20k-doc build); reserve actor pools for stages with genuinely
         # expensive per-worker init (e.g. the query scorer).
-        _t = _time.perf_counter()
         runs = ds.map_batches(
             TokenizeEncodeRuns(
                 cfg.mode,
@@ -323,7 +309,6 @@ def build_index(
         )
         runs_staged.commit()
         meta_staged.commit()
-        _tlog(f"phase1 {part}", _t)
 
         # token accounting from the FEW doc_meta files (doc_len column, one
         # small column chunk each) — scanning the tf_sum column of every run
@@ -491,7 +476,6 @@ def build_index(
                 )
             )
 
-        _t = _time.perf_counter()
         keys = ray.data.from_items(
             [
                 {"merge_key": k, "range_bucket": r}
@@ -507,7 +491,6 @@ def build_index(
             postings_staged.path, filesystem=fs, partition_cols=["shard"]
         )
         postings_staged.commit()
-        _tlog("phase2", _t)
 
         n_terms = _parquet_rows(fs, ts_dir)
         stats = {

@@ -313,7 +313,7 @@ def corpus_from_jsonl(
     materializes.  ``.gz`` members decompress inline (the common
     pretraining-dump layout).  Chain into ``write_corpus`` +
     ``build_index`` (the build's resume contract is parquet-file-based)."""
-    exts = ("jsonl", "json", "ndjson")
+    exts = (".jsonl", ".json", ".ndjson")
     gz_exts = tuple(f"{e}.gz" for e in exts)
     if os.path.isdir(path):
         # recursive walk, split by compression: gzip must be declared per
@@ -333,13 +333,16 @@ def corpus_from_jsonl(
             )
     else:
         plain, gz = ([], [path]) if path.endswith(".gz") else ([path], [])
+    # the file lists are final: ray's own extension filter would drop the
+    # .ndjson members (its default list has only json/jsonl)
     parts = []
     if plain:
-        parts.append(ray.data.read_json(plain))
+        parts.append(ray.data.read_json(plain, file_extensions=None))
     if gz:
         parts.append(
             ray.data.read_json(
-                gz, arrow_open_stream_args={"compression": "gzip"}
+                gz, arrow_open_stream_args={"compression": "gzip"},
+                file_extensions=None,
             )
         )
     ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
@@ -366,6 +369,10 @@ def corpus_from_csv(
     )
 
 
+# marks a directory as write_corpus output, which later writes may clear
+CORPUS_MARKER = ".uciray_corpus"
+
+
 def write_corpus(ds: "ray.data.Dataset", out_dir: str) -> str:
     """Materialize a corpus-shaped Dataset as a parquet directory the
     index build can consume (and resume over: the build's checkpoint
@@ -373,11 +380,26 @@ def write_corpus(ds: "ray.data.Dataset", out_dir: str) -> str:
     incremental-ingest unit).  Stale part files from a previous run are
     CLEARED first — ray's writer uses fresh UUID names per run, so a
     re-ingest into the same dir would otherwise silently serve a MIXED
-    corpus (the write_synthetic_corpus hazard, ADVICE r4)."""
-    if os.path.isdir(out_dir):
+    corpus (the write_synthetic_corpus hazard, ADVICE r4).
+
+    Only a directory this function wrote is cleared: the first write leaves
+    a ``.uciray_corpus`` marker, and a non-empty directory without one is
+    refused rather than emptied."""
+    marker = os.path.join(out_dir, CORPUS_MARKER)
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        if not os.path.exists(marker):
+            raise ValueError(
+                f"write_corpus: {out_dir!r} is non-empty and was not written "
+                f"by write_corpus (no {CORPUS_MARKER} marker); its parquet "
+                "files would be deleted — pass an empty or new directory."
+            )
         for f in os.listdir(out_dir):
             if f.endswith(".parquet"):
                 os.remove(os.path.join(out_dir, f))
+    os.makedirs(out_dir, exist_ok=True)
+    with open(marker, "w") as fh:
+        fh.write("corpus written by write_corpus; its parquet parts are "
+                 "replaced on the next write\n")
     ds.write_parquet(out_dir)
     return out_dir
 

@@ -56,8 +56,10 @@ DOC_META_SCHEMA = pa.schema(
         ("failed", pa.bool_()),
         # forward store: the reference keeps full content in the documents
         # table (models.py:74) and reads it back for snippets/tf
-        # (search.py:92,103); doc_meta is that store, parquet-compressed,
-        # point-looked-up via row-group pruning (state/docstore.py)
+        # (search.py:92,103); doc_meta is that store, parquet-compressed.
+        # Serving loads its page columns once and looks rows up by sorted
+        # doc_id (state/docstore.py): the ids are hashes, so row-group
+        # statistics span the whole id range and could never prune a scan
         ("content", pa.large_string()),
     ]
 )
