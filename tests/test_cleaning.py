@@ -255,37 +255,37 @@ def test_strip_dup_spans_semantics(ray_session, tmp_path):
     assert out.loc[2, "clean_text"] == "unique tokens only here"
 
 
-def test_strip_dup_spans_broadcast_twin_and_guard(ray_session, tmp_path):
-    """The no-broadcast interval-spool default and the guarded broadcast
-    twin must be row-identical; the broadcast guard must fail loudly when
-    the dup-window head exceeds max_head."""
+def _strip_oracle(docs_path: str) -> pd.DataFrame:
+    """``strip_dup_spans`` as the DuckDB oracle computes it, canonicalised."""
+    import __ray_entry__ as e
+
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{docs_path}')"
+    )
+    return _canon(con.execute(e.oracle_sql()["strip_dup_spans"]).fetchdf())
+
+
+def test_strip_dup_spans_sf0001_matches_oracle(ray_session):
+    """The interval-spool strip on the driver testdata is row-identical to
+    the DuckDB oracle, and strips something."""
     from uci_searchengine_ray.pipelines import cleaning
 
     sf = "/root/testdata/sf0.001"
-    a = (
-        cleaning.strip_dup_spans(sf)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    a = _canon(cleaning.strip_dup_spans(sf).to_pandas())
+    pd.testing.assert_frame_equal(
+        a,
+        _strip_oracle(os.path.join(sf, "documents.parquet")),
+        check_dtype=False,
     )
-    b = (
-        cleaning.strip_dup_spans_broadcast(sf)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
     assert (a["n_kept"] < a["n_tokens"]).any()  # something was stripped
-
-    with pytest.raises(RuntimeError, match="no-broadcast"):
-        cleaning.strip_dup_spans_broadcast(sf, max_head=1)
 
 
 def test_strip_dup_spans_sparse_hashed_ids(ray_session, tmp_path):
     """Hashed 63-bit doc_ids (the production id space): the interval
     spool's min/max pruning degrades to full scans but the searchsorted
-    membership mapping must stay exact — compare against the broadcast
-    twin, which never touches the spool."""
+    membership mapping must stay exact — compare against the DuckDB
+    oracle, which never touches the spool."""
     from uci_searchengine_ray.pipelines import cleaning
 
     rng = np.random.default_rng(7)
@@ -304,11 +304,10 @@ def test_strip_dup_spans_sparse_hashed_ids(ray_session, tmp_path):
         cleaning.strip_dup_spans(str(d))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
-    b = (
-        cleaning.strip_dup_spans_broadcast(str(d))
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        _canon(a), _strip_oracle(str(d / "documents.parquet")),
+        check_dtype=False,
     )
-    pd.testing.assert_frame_equal(a, b)
     assert (a["n_kept"] < a["n_tokens"]).sum() == 40  # shared runs stripped
     assert a.loc[a["n_kept"] == a["n_tokens"], "clean_text"].iloc[0] == "unique words only"
 

@@ -209,3 +209,42 @@ def test_export_resume_skips_finished_shards(ray_session, tmp_path):
     # fully-finished rerun: no shard rebuilt
     res2 = export.export_pretraining(SF, str(out), resume=True)
     assert len(res2["skipped_shards"]) == len(shards)
+
+
+def test_export_refuses_foreign_out_dir(ray_session, tmp_path):
+    """A fresh or resumed export never clears an ``out_dir`` it did not
+    write: files there survive and the call raises."""
+    from uci_searchengine_ray.pipelines import export
+
+    out = tmp_path / "out"
+    (out / "data").mkdir(parents=True)
+    (out / "data" / "keep.txt").write_text("not export's")
+    for resume in (False, True):
+        with pytest.raises(ValueError, match="not written by"):
+            export.export_pretraining(SF, str(out), resume=resume)
+        assert (out / "data" / "keep.txt").read_text() == "not export's"
+
+
+def test_export_empty_keep_list(ray_session, tmp_path):
+    """Both docs are eval split (doc_id % 37 == 0), so nothing is exported:
+    the empty keep-list spool still joins and the count is 0."""
+    from uci_searchengine_ray.pipelines import export
+
+    d = tmp_path / "ev"
+    d.mkdir()
+    rng = random.Random(3)
+    texts = [_passing_text(rng), _passing_text(rng)]
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([0, 37], pa.int64()),
+                "text": pa.array(texts, pa.string()),
+                "lang": pa.array(["en", "en"]),
+                "source": pa.array(["s0", "s1"]),
+                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+            }
+        ),
+        str(d / "documents.parquet"),
+    )
+    res = export.export_pretraining(str(d), str(tmp_path / "out"))
+    assert res["docs"] == 0

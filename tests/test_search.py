@@ -110,3 +110,33 @@ def test_actor_pool_batch_search(ray_session, built_index, oracle):
         if got:
             assert got[0]["total_results"] == exp["total_results"]
             assert got[0]["url"] != ""
+
+
+def test_wand_page_past_end_total(built_index, monkeypatch):
+    """bm25_wand cuts at max(need, top_k), so its total is a lower bound.
+    A page past the last hit re-asks for totals with the SAME need as its
+    scoring call: one scoring call (the scorer's memo), and a total no
+    smaller than a valid earlier page reported."""
+    from uci_searchengine_ray.pipelines import search as S
+
+    q = "the self value"
+    scorer = S.QueryScorer(built_index, mode="bm25_wand")
+    n = len(score_bm25_taat(scorer.index, q)[0])
+    assert n > scorer.top_k  # the cut must bite for the case to mean much
+    last = (n + 9) // 10
+    valid = S.search_with_scorer(scorer, q, page=last, per_page=10)
+    assert valid["results"] and valid["total_results"] == n
+
+    calls = []
+    real = S.score_bm25_wand
+
+    def counted(*a, **kw):
+        calls.append(kw.get("top_k"))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(S, "score_bm25_wand", counted)
+    past = S.search_with_scorer(scorer, q, page=last + 25, per_page=10)
+    assert past["results"] == []
+    assert past["total_results"] >= valid["total_results"]
+    assert past["total_pages"] >= valid["total_pages"]
+    assert len(calls) == 1

@@ -308,3 +308,27 @@ def test_replica_actor_mode_matches_inprocess(served):
         assert 1 <= len(srv._replica_pool) <= 2
     finally:
         srv.close()
+
+
+def test_dead_replica_is_respawned(served):
+    """Kill one of two replicas: every later request is answered 200 with
+    the in-process answer (the dead slot is respawned in place and the
+    query retried) instead of least-loaded dispatch pinning it."""
+    import ray
+
+    _, _, idx = served
+    path = "/api/search?query=return+the&page=1&per_page=5"
+    want = json.loads(json.dumps(search_one(idx, "return the", 1, 5)))
+    srv = SearchServer(index_dir=idx, scorer_replicas=2)
+    port = srv.serve()
+    try:
+        for _ in range(2):  # the pool spawns lazily, one slot per request
+            assert _req(port, "GET", path) == (200, want)
+        assert len(srv._replica_pool) == 2
+        dead = srv._replica_pool[0]
+        ray.kill(dead, no_restart=True)
+        for _ in range(8):
+            assert _req(port, "GET", path) == (200, want)
+        assert srv._replica_pool[0] is not dead
+    finally:
+        srv.close()

@@ -314,7 +314,7 @@ DECON_EVAL_MOD = 37  # eval set = docs with doc_id % 37 == 0
 # eval-gram broadcast budget (ADVICE r4 / VERDICT r4 #3): the collected
 # gram-hash set rides ray.put to every worker, so it gets the same loud
 # pre-read gate as every other broadcast in the tree (_collect_dim,
-# boilerplate max_head, dup-window head).  ~8 B/distinct gram ≈ the text
+# boilerplate max_head).  ~8 B/distinct gram ≈ the text
 # bytes that produced it, so on-disk eval bytes × decode inflation is a
 # sound upper proxy for the broadcast size.
 EVAL_GRAMS_MAX_BYTES = 256 * 2**20
@@ -352,15 +352,32 @@ def _eval_gram_size_gate(path: str, divisor: float, max_bytes: int) -> None:
         )
 
 
-def _doc_gram_hashes_batch(batch: pa.Table, n: int):
-    """Per-doc DISTINCT token-n-gram hash arrays (vectorized Horner fold —
-    same family as the shingle pipelines)."""
+def _collect_grams(
+    ds: "ray.data.Dataset", n: int, text_col: str, eval_mod: int | None
+) -> np.ndarray:
+    """Sorted unique token-``n``-gram hash array of ``ds[text_col]``; with
+    ``eval_mod`` only rows with doc_id % eval_mod == 0 count."""
     from ..stages.dedup import _shingle_hashes_batch
 
-    token_lists = [
-        tokenize_reference(t or "") for t in batch["text"].to_pylist()
-    ]
-    return _shingle_hashes_batch(token_lists, k=n)
+    def grams(batch: pa.Table) -> pa.Table:
+        if eval_mod is not None:
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            batch = batch.filter(pa.array(ids % eval_mod == 0))
+        token_lists = [
+            tokenize_reference(t or "") for t in batch[text_col].to_pylist()
+        ]
+        hs = _shingle_hashes_batch(token_lists, k=n)
+        flat = (
+            np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
+        )
+        return pa.table({"gh": pa.array(flat.astype(np.int64))})
+
+    rows = ds.map_batches(
+        grams, batch_format="pyarrow", zero_copy_batch=True
+    ).take_all()
+    return np.unique(
+        np.asarray([r["gh"] for r in rows], dtype=np.int64).astype(np.uint64)
+    )
 
 
 def collect_eval_grams(
@@ -377,25 +394,7 @@ def collect_eval_grams(
     _eval_gram_size_gate(
         os.path.join(sf_dir, "documents.parquet"), float(eval_mod), max_bytes
     )
-
-    def eval_grams(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        keep = ids % eval_mod == 0
-        sub = batch.filter(pa.array(keep))
-        hs = _doc_gram_hashes_batch(sub, n)
-        flat = (
-            np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
-        )
-        return pa.table({"gh": pa.array(flat.astype(np.int64))})
-
-    rows = (
-        _documents(sf_dir)
-        .map_batches(eval_grams, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )
-    return np.unique(
-        np.asarray([r["gh"] for r in rows], dtype=np.int64).astype(np.uint64)
-    )
+    return _collect_grams(_documents(sf_dir), n, "text", eval_mod)
 
 
 def collect_eval_grams_from(
@@ -413,27 +412,46 @@ def collect_eval_grams_from(
     training corpus by mistake) fails naming the partitioned-membership
     alternative instead of materializing the gram set everywhere."""
     _eval_gram_size_gate(eval_path, 1.0, max_bytes)
-
-    def eval_grams(batch: pa.Table) -> pa.Table:
-        token_lists = [
-            tokenize_reference(t or "")
-            for t in batch[text_col].to_pylist()
-        ]
-        from ..stages.dedup import _shingle_hashes_batch
-
-        hs = _shingle_hashes_batch(token_lists, k=n)
-        flat = (
-            np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
-        )
-        return pa.table({"gh": pa.array(flat.astype(np.int64))})
-
-    rows = (
-        ray.data.read_parquet(eval_path, columns=[text_col])
-        .map_batches(eval_grams, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
+    return _collect_grams(
+        ray.data.read_parquet(eval_path, columns=[text_col]), n, text_col, None
     )
-    return np.unique(
-        np.asarray([r["gh"] for r in rows], dtype=np.int64).astype(np.uint64)
+
+
+class _GramCheck:
+    """Membership pass of decontamination: per-doc distinct shared-gram
+    counts against the broadcast eval-gram set (``ray.get`` once per
+    actor).  With ``eval_mod`` the eval split's own rows are dropped."""
+
+    def __init__(self, eval_ref, n: int, eval_mod: int | None):
+        self.ev = ray.get(eval_ref)
+        self.n = n
+        self.eval_mod = eval_mod
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.eval_mod is not None:
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            batch = batch.filter(pa.array(ids % self.eval_mod != 0))
+        shared = shared_gram_counts(
+            [t or "" for t in batch["text"].to_pylist()], self.ev, self.n
+        )
+        return pa.table(
+            {
+                "doc_id": batch["doc_id"],
+                "n_shared": pa.array(shared),
+                "contaminated": pa.array(shared > 0),
+            }
+        )
+
+
+def _flag_shared_grams(
+    sf_dir: str, eval_grams: np.ndarray, n: int, eval_mod: int | None
+) -> "ray.data.Dataset":
+    return _documents(sf_dir).map_batches(
+        _GramCheck,
+        fn_constructor_args=(ray.put(eval_grams), n, eval_mod),
+        concurrency=(1, 8),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
 
 
@@ -449,31 +467,8 @@ def decontaminate_against(
     bounded eval-gram broadcast, one streaming membership pass over the
     training corpus, nothing else shuffled.  Returns
     (doc_id, n_shared, contaminated) for EVERY training doc."""
-    ref = ray.put(collect_eval_grams_from(eval_path, n, text_col))
-
-    class _Check:
-        def __init__(self, eval_ref):
-            self.ev = ray.get(eval_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            shared = shared_gram_counts(
-                [t or "" for t in batch["text"].to_pylist()], self.ev, n
-            )
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "n_shared": pa.array(shared),
-                    "contaminated": pa.array(shared > 0),
-                }
-            )
-
-    return _documents(sf_dir).map_batches(
-        _Check,
-        fn_constructor_args=(ref,),
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    grams = collect_eval_grams_from(eval_path, n, text_col)
+    return _flag_shared_grams(sf_dir, grams, n, None)
 
 
 def shared_gram_counts(
@@ -510,34 +505,8 @@ def decontaminate(
     through one membership pass, shipping nothing.  Returns
     (doc_id, n_shared, contaminated) for every training doc, where
     ``n_shared`` counts DISTINCT shared grams."""
-    ds = _documents(sf_dir)
-    ref = ray.put(collect_eval_grams(sf_dir, n, eval_mod))
-
-    class _Check:
-        def __init__(self, eval_ref):
-            self.ev = ray.get(eval_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            sub = batch.filter(pa.array(ids % eval_mod != 0))
-            shared = shared_gram_counts(
-                [t or "" for t in sub["text"].to_pylist()], self.ev, n
-            )
-            return pa.table(
-                {
-                    "doc_id": sub["doc_id"],
-                    "n_shared": pa.array(shared),
-                    "contaminated": pa.array(shared > 0),
-                }
-            )
-
-    return ds.map_batches(
-        _Check,
-        fn_constructor_args=(ref,),
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    grams = collect_eval_grams(sf_dir, n, eval_mod)
+    return _flag_shared_grams(sf_dir, grams, n, eval_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +697,11 @@ def dup_spans(
     )
 
 
+_INTERVAL_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("start", pa.int32()), ("end", pa.int32())]
+)
+
+
 def dup_span_intervals(
     occurrences: "ray.data.Dataset", w: int = DUPSPAN_W, num_buckets: int = 64
 ) -> "ray.data.Dataset":
@@ -740,15 +714,8 @@ def dup_span_intervals(
     from ..stages.dedup import _add_int_key_bucket
 
     def merge(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "start": pa.array([], pa.int32()),
-                "end": pa.array([], pa.int32()),
-            }
-        )
         if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
+            return _INTERVAL_SCHEMA.empty_table()
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         pos = group["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((pos, d))
@@ -779,16 +746,15 @@ def dup_span_intervals(
 
 
 class _StripScan:
-    """Strip pass of the NO-BROADCAST ``strip_dup_spans``: per batch, ONE
-    row-group-pruned scan of the doc_id-sorted interval spool
-    (``doc_id ∈ [batch_min, batch_max]`` — the export keep-list join-back
-    pattern), then a difference-array cumsum marks covered tokens."""
+    """Strip pass of ``strip_dup_spans``: per batch, one pruned read of the
+    doc_id-sorted interval spool (``state/spool.py``), then a
+    difference-array cumsum marks covered tokens."""
 
     def __init__(self, spool_dir: str):
         self.spool = spool_dir
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+        from ..state.spool import read_doc_range
 
         token_lists = [
             tokenize_reference(t or "") for t in batch["text"].to_pylist()
@@ -799,36 +765,16 @@ class _StripScan:
         )
         offs = np.concatenate(([0], np.cumsum(lens)))
         covered = np.zeros(int(offs[-1]), dtype=bool)
-        if len(ids):
-            it = pq.read_table(
-                self.spool,
-                columns=["doc_id", "start", "end"],
-                filters=[
-                    ("doc_id", ">=", int(ids.min())),
-                    ("doc_id", "<=", int(ids.max())),
-                ],
-            )
-            kid = it["doc_id"].to_numpy(zero_copy_only=False)
+        it, row = read_doc_range(self.spool, ids, ["start", "end"])
+        if len(row):
             ks = it["start"].to_numpy(zero_copy_only=False).astype(np.int64)
             ke = it["end"].to_numpy(zero_copy_only=False).astype(np.int64)
-            # map interval doc_ids to batch rows (batch order is arbitrary;
-            # the pruned scan may also return intervals of OTHER batches'
-            # docs inside the id range — the membership probe drops them)
-            o = np.argsort(ids, kind="mergesort")
-            sids = ids[o]
-            row = np.empty(0, dtype=np.int64)
-            hit = np.zeros(len(kid), dtype=bool)
-            if len(kid):
-                p = np.clip(np.searchsorted(sids, kid), 0, len(sids) - 1)
-                hit = sids[p] == kid
-                row = o[p[hit]]
-            if len(row):
-                diff = np.zeros(int(offs[-1]) + 1, dtype=np.int64)
-                gs = offs[row] + np.minimum(ks[hit], lens[row])
-                ge = offs[row] + np.minimum(ke[hit], lens[row])
-                np.add.at(diff, gs, 1)
-                np.add.at(diff, ge, -1)
-                covered = np.cumsum(diff[:-1]) > 0
+            diff = np.zeros(int(offs[-1]) + 1, dtype=np.int64)
+            gs = offs[row] + np.minimum(ks, lens[row])
+            ge = offs[row] + np.minimum(ke, lens[row])
+            np.add.at(diff, gs, 1)
+            np.add.at(diff, ge, -1)
+            covered = np.cumsum(diff[:-1]) > 0
         clean, n_kept = [], []
         for i, toks in enumerate(token_lists):
             cov = covered[offs[i] : offs[i + 1]]
@@ -868,31 +814,25 @@ def strip_dup_spans(
          ``dup_spans`` (window-hash df filter over 24 B occurrence rows);
       2. ``dup_span_intervals`` — per-doc merged covered intervals
          (doc-bucketed groupby, closed-form union);
-      3. the interval spool is written doc_id-SORTED to ``spool_dir`` and
-         the strip pass streams every doc once, doing one row-group-pruned
-         membership scan per batch (the ``pipelines/export.py`` keep-list
-         join-back pattern) — driver state: a directory path.
+      3. the intervals are written as a doc_id-sorted spool
+         (``state/spool.py``, shared with the export keep-list) to
+         ``spool_dir``, and the strip pass streams every doc once, doing one
+         row-group-pruned read of the spool per batch — driver state: a
+         directory path.
     On a multi-node cluster pass ``spool_dir`` on a SHARED filesystem —
     the default tempfile location is node-local and only valid
-    single-node; export's keep-list has the same contract via its
-    user-provided ``out_dir``.  The spool is per-RUN scratch: it is
-    CLEARED on entry (a previous corpus' interval files at the same path
-    would otherwise be silently unioned by the pruned scans), and the
-    default path is derived from (corpus path, w, min_df, pid) so repeated
-    calls in one process overwrite one directory instead of leaking a
-    tempdir per call while concurrent processes never share a default
-    spool.  A caller-supplied ``spool_dir`` that exists non-empty WITHOUT
-    the marker file of a previous run is refused loudly rather than
-    deleted (ADVICE r4).
-    Cost vs the old broadcast variant: identical text passes (two), one
-    extra small shuffle + sorted write of the interval stream; the strip
-    pass no longer recomputes window hashes (intervals are positions, not
-    hash probes) — measured ≤1.1× at 240k docs both orders (BASELINE.md).
-    ``strip_dup_spans_broadcast`` keeps the old layout behind a loud
-    head-size guard for small-corpus use and A/B measurement."""
+    single-node.  The spool is per-RUN scratch: it is CLEARED on entry (a
+    previous corpus' interval files at the same path would otherwise be
+    silently unioned by the pruned reads), and the default path is derived
+    from (corpus path, w, min_df, pid) so repeated calls in one process
+    overwrite one directory instead of leaking a tempdir per call while
+    concurrent processes never share a default spool.  A caller-supplied
+    ``spool_dir`` that exists non-empty WITHOUT the marker file of a
+    previous run is refused loudly rather than deleted (ADVICE r4)."""
     import hashlib
-    import shutil
     import tempfile
+
+    from ..state.spool import claim_dir, write_doc_sorted
 
     if spool_dir is None:
         # the tag includes the PID so two concurrent runs with the same
@@ -905,175 +845,20 @@ def strip_dup_spans(
         spool_dir = os.path.join(
             tempfile.gettempdir(), f"uciray_dupspan_spool_{tag}_{os.getpid()}"
         )
-    # refuse to clear a directory we did not create: the spool is cleared on
-    # entry, so a caller-supplied path pointing at pre-existing UNRELATED
-    # data would be deleted silently.  A marker file written alongside the
-    # spool proves prior ownership; absent it, a non-empty dir is an error.
-    marker = os.path.join(spool_dir, ".uciray_dupspan_spool")
-    if (
-        os.path.isdir(spool_dir)
-        and os.listdir(spool_dir)
-        and not os.path.exists(marker)
-    ):
-        raise ValueError(
-            f"strip_dup_spans: spool_dir {spool_dir!r} exists, is non-empty "
-            "and was not written by a previous strip_dup_spans run (no "
-            ".uciray_dupspan_spool marker). The spool is per-run scratch "
-            "that is CLEARED on entry — pass an empty/new directory."
-        )
-    shutil.rmtree(spool_dir, ignore_errors=True)
-    os.makedirs(spool_dir, exist_ok=True)
-    with open(marker, "w") as fh:
-        fh.write("per-run interval spool; safe to delete\n")
+    claim_dir(
+        spool_dir, ".uciray_dupspan_spool", "a previous strip_dup_spans run"
+    )
     occ = _dup_window_occurrences(sf_dir, w, min_df, num_buckets)
-    dup_span_intervals(occ, w, num_buckets).select_columns(
-        ["doc_id", "start", "end"]
-    ).sort("doc_id").write_parquet(spool_dir)
-    if not any(f.endswith(".parquet") for f in os.listdir(spool_dir)):
-        # corpus with zero dup windows: write an empty spool file so the
-        # strip pass's pruned scans see a valid (empty) dataset
-        import pyarrow.parquet as pq
-
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "start": pa.array([], pa.int32()),
-                    "end": pa.array([], pa.int32()),
-                }
-            ),
-            os.path.join(spool_dir, "empty.parquet"),
-        )
+    write_doc_sorted(
+        dup_span_intervals(occ, w, num_buckets).select_columns(
+            ["doc_id", "start", "end"]
+        ),
+        spool_dir,
+        _INTERVAL_SCHEMA,
+    )
     return _documents(sf_dir).map_batches(
         _StripScan,
         fn_constructor_args=(spool_dir,),
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-DUPSPAN_BROADCAST_MAX = 50_000_000  # ~400 MB of int64 window hashes
-
-
-def strip_dup_spans_broadcast(
-    sf_dir: str,
-    w: int = DUPSPAN_W,
-    min_df: int = DUPSPAN_MIN_DF,
-    num_buckets: int = 64,
-    max_head: int = DUPSPAN_BROADCAST_MAX,
-) -> "ray.data.Dataset":
-    """Broadcast-layout twin of ``strip_dup_spans`` (identical output): the
-    distinct ≥min_df dup-window hash set is collected and ``ray.put``
-    broadcast, and the strip pass recomputes window hashes per doc and
-    probes the set.  Appropriate when the head is KNOWN small (high
-    ``min_df``, small corpus); guarded by ``max_head`` — a head larger
-    than that fails loudly naming the scale-safe default instead of
-    silently materializing gigabytes on the driver."""
-    from ..stages.dedup import (
-        _add_int_key_bucket,
-        _shingle_hashes_batch,
-        _window_hashes_batch,
-    )
-
-    ds = _documents(sf_dir)
-
-    def distinct_windows(batch: pa.Table) -> pa.Table:
-        token_lists = [
-            tokenize_reference(t or "") for t in batch["text"].to_pylist()
-        ]
-        hs = _shingle_hashes_batch(token_lists, w)
-        if not hs:
-            return pa.table({"h": pa.array([], pa.int64())})
-        return pa.table(
-            {"h": pa.array(np.concatenate(hs).astype(np.int64))}
-        )
-
-    def count_filter(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "h" not in group.column_names:
-            return pa.table({"h": pa.array([], pa.int64())})
-        h = np.sort(group["h"].to_numpy(zero_copy_only=False))
-        starts = np.concatenate(([0], np.flatnonzero(h[1:] != h[:-1]) + 1))
-        nd = np.diff(np.append(starts, len(h)))
-        return pa.table({"h": pa.array(h[starts[nd >= min_df]])})
-
-    dup_ds = (
-        ds.map_batches(
-            distinct_windows, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .map_batches(
-            lambda t: _add_int_key_bucket(t, "h", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(count_filter, batch_format="pyarrow")
-        .materialize()  # guard-count + collect without recomputing the scan
-    )
-    n_head = dup_ds.count()
-    if n_head > max_head:
-        raise RuntimeError(
-            f"strip_dup_spans_broadcast: the ≥{min_df}-df dup-window head "
-            f"has {n_head} entries (> max_head={max_head}); broadcasting it "
-            "would materialize it on the driver and every worker. Use "
-            "strip_dup_spans() (the no-broadcast interval-spool default) "
-            "or raise min_df to a corpus fraction."
-        )
-    dup_tbl = dup_ds.take_all()
-    dup_set = np.sort(
-        np.asarray([r["h"] for r in dup_tbl], dtype=np.int64).astype(
-            np.uint64
-        )
-    )
-    ref = ray.put(dup_set)
-
-    class _Strip:
-        def __init__(self, dup_ref):
-            self.dup = ray.get(dup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            token_lists = [
-                tokenize_reference(t or "")
-                for t in batch["text"].to_pylist()
-            ]
-            d_idx, pos, h = _window_hashes_batch(token_lists, w)
-            lens = np.fromiter(
-                (len(t) for t in token_lists),
-                np.int64,
-                count=len(token_lists),
-            )
-            # dup-window starts → coverage via difference-array cumsum
-            if len(h) and len(self.dup):
-                p = np.clip(
-                    np.searchsorted(self.dup, h), 0, len(self.dup) - 1
-                )
-                hit = self.dup[p] == h
-            else:
-                hit = np.zeros(len(h), dtype=bool)
-            offs = np.concatenate(([0], np.cumsum(lens)))
-            diff = np.zeros(int(offs[-1]) + 1, dtype=np.int64)
-            gpos = offs[d_idx[hit]] + pos[hit]  # global token index
-            np.add.at(diff, gpos, 1)
-            np.add.at(diff, np.minimum(gpos + w, offs[d_idx[hit] + 1]), -1)
-            covered = np.cumsum(diff[:-1]) > 0
-            clean, n_kept = [], []
-            for i, toks in enumerate(token_lists):
-                cov = covered[offs[i] : offs[i + 1]]
-                kept = [t for t, c in zip(toks, cov) if not c]
-                clean.append(" ".join(kept))
-                n_kept.append(len(kept))
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "n_tokens": pa.array(lens),
-                    "n_kept": pa.array(np.asarray(n_kept, np.int64)),
-                    "clean_text": pa.array(clean, pa.string()),
-                }
-            )
-
-    return ds.map_batches(
-        _Strip,
-        fn_constructor_args=(ref,),
         concurrency=(1, 8),
         batch_format="pyarrow",
         zero_copy_batch=True,

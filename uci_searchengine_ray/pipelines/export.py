@@ -12,12 +12,14 @@ Ray-Data-first shape:
   as ``analysis.sample_documents``) — no coordination, join-stable,
   recomputable by any worker;
 - the text join-back for the WRITE path avoids both a text shuffle and a
-  driver-side id set: the keep-list is written sorted by doc_id, and an
-  actor-pool pass over ``documents`` does ONE row-group-pruned scan per
-  batch (``doc_id ∈ [batch_min, batch_max]``) for membership — the same
-  batched-verifier pattern as stages/dedup.py's LSH confirm stage;
+  driver-side id set: the keep-list is written as a doc_id-sorted spool
+  (``state/spool.py``, the same format as ``strip_dup_spans``' interval
+  spool), and an actor-pool pass over ``documents`` does ONE
+  row-group-pruned read per batch (``doc_id ∈ [batch_min, batch_max]``)
+  for membership;
 - output is partitioned ``shard=K/`` parquet, so a failed export rerun can
-  skip finished shards.
+  skip finished shards; ``out_dir`` carries an ownership marker, so an
+  export never clears a directory it did not write.
 
 The per-shard summary (shard, n_docs, n_tokens, n_chars) is the driver-gated
 query (``__ray_entry__.oracle_sql()["export_shards"]``).
@@ -166,6 +168,37 @@ def export_shards_summary(
 
 
 _COMPLETE = "_COMPLETE"
+_EXPORT_MARKER = ".uciray_export"
+_KEEP_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("lang", pa.string()),
+        ("n_tokens", pa.int64()),
+        ("n_chars", pa.int64()),
+        ("shard", pa.int64()),
+    ]
+)
+
+
+class _TextJoin:
+    """Membership + shard lookup: one pruned read of the doc_id-sorted
+    keep-list per batch; rows of the ``skip`` shards are dropped."""
+
+    def __init__(self, kl: str, skip: frozenset):
+        self.kl = kl
+        self.skip = np.asarray(sorted(skip), dtype=np.int64)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..state.spool import read_doc_range
+
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        kt, row = read_doc_range(self.kl, ids, ["shard"])
+        sh = kt["shard"].to_numpy(zero_copy_only=False)
+        keep = ~np.isin(sh, self.skip)
+        row, sh = row[keep], sh[keep]
+        o = np.argsort(row)  # back to batch order
+        out = batch.take(pa.array(row[o]))
+        return out.append_column("shard", pa.array(sh[o], pa.int64()))
 
 
 def export_pretraining(
@@ -176,12 +209,17 @@ def export_pretraining(
     parquet) then ``out_dir/data/shard=K/`` (full rows incl. text).
 
     The text pass never shuffles: each batch does one row-group-pruned
-    membership scan of the sorted keep-list.  Returns {shards, docs}.
+    membership read of the sorted keep-list.  Returns {shards, docs}.
+
+    ``out_dir`` is owned through a ``.uciray_export`` marker: a fresh
+    export clears a directory only if a previous export wrote it, and
+    refuses any other non-empty directory.
 
     Resumable at SHARD granularity: each finished ``shard=K`` dir gets a
-    ``_COMPLETE`` marker.  With ``resume=True`` a rerun (a) deletes shard
-    dirs that lack the marker (a crashed run's partial files — rewriting
-    them from scratch is the only duplicate-safe choice, since
+    ``_COMPLETE`` marker.  With ``resume=True`` (which also needs the
+    ``.uciray_export`` marker on a non-empty ``out_dir``) a rerun (a)
+    deletes shard dirs that lack the marker (a crashed run's partial files
+    — rewriting them from scratch is the only duplicate-safe choice, since
     write_parquet appends), (b) skips every marked shard's rows in the
     join pass (their docs never leave the filter), and (c) rewrites the
     keep-list only if absent.  A fully-finished export rerun is a no-op
@@ -189,11 +227,13 @@ def export_pretraining(
     """
     import shutil
 
+    from ..state.spool import claim_dir, write_doc_sorted
+    from ..state.storage import parquet_rows
+
+    claim_dir(out_dir, _EXPORT_MARKER, "a previous export_pretraining run",
+              keep=resume)
     kl_dir = os.path.join(out_dir, "keeplist")
     data_dir = os.path.join(out_dir, "data")
-    if not resume:  # fresh export: never append onto stale files
-        shutil.rmtree(kl_dir, ignore_errors=True)
-        shutil.rmtree(data_dir, ignore_errors=True)
     os.makedirs(data_dir, exist_ok=True)
 
     done_shards: set = set()
@@ -209,44 +249,7 @@ def export_pretraining(
 
     if not (resume and os.path.isdir(kl_dir) and os.listdir(kl_dir)):
         os.makedirs(kl_dir, exist_ok=True)
-        keep_list(sf_dir, num_shards).sort("doc_id").write_parquet(kl_dir)
-
-    class _TextJoin:
-        """Membership + shard lookup via pruned scans of the keep-list."""
-
-        def __init__(self, kl: str, skip: frozenset):
-            self.kl = kl
-            self.skip = skip
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pyarrow.parquet as pq
-
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            lo, hi = int(ids.min()), int(ids.max())
-            kt = pq.read_table(
-                self.kl,
-                columns=["doc_id", "shard"],
-                filters=[("doc_id", ">=", lo), ("doc_id", "<=", hi)],
-            )
-            kid = kt["doc_id"].to_numpy(zero_copy_only=False)
-            ksh = kt["shard"].to_numpy(zero_copy_only=False)
-            # file read order across the keep-list directory is not the
-            # global sort order — re-sort the (small, pruned) slice locally
-            o = np.argsort(kid, kind="mergesort")
-            kid, ksh = kid[o], ksh[o]
-            if len(kid):
-                pos = np.clip(np.searchsorted(kid, ids), 0, len(kid) - 1)
-                hit = kid[pos] == ids
-            else:
-                pos = np.zeros(len(ids), dtype=np.int64)
-                hit = np.zeros(len(ids), dtype=bool)
-            sh = ksh[pos[hit]]
-            if self.skip:
-                ok = ~np.isin(sh, np.asarray(sorted(self.skip)))
-                hit[hit] = ok
-                sh = sh[ok]
-            out = batch.filter(pa.array(hit))
-            return out.append_column("shard", pa.array(sh, pa.int64()))
+        write_doc_sorted(keep_list(sf_dir, num_shards), kl_dir, _KEEP_SCHEMA)
 
     if len(done_shards) < num_shards:
         docs = ray.data.read_parquet(
@@ -265,12 +268,9 @@ def export_pretraining(
             if name.startswith("shard=") and os.path.isdir(p):
                 open(os.path.join(p, _COMPLETE), "w").close()
 
-    n = ray.data.read_parquet(
-        data_dir, file_extensions=["parquet"]
-    ).count()
     return {
         "shards": num_shards,
-        "docs": n,
+        "docs": parquet_rows(data_dir),
         "data_dir": data_dir,
         "skipped_shards": sorted(done_shards),
     }

@@ -1002,8 +1002,9 @@ def search_with_scorer(
     if rows:
         total, total_pages = rows[0]["total_results"], rows[0]["total_pages"]
     else:
-        # page beyond the results: totals still reported (search.py:119-126)
-        ids, _ = scorer._score(query, need=1)
+        # page beyond the results: totals still reported (search.py:119-126);
+        # the same ``need`` as the scoring call hits the scorer's memo
+        ids, _ = scorer._score(query, need=page * per_page)
         total = len(ids)
         total_pages = (total + per_page - 1) // per_page
     return {

@@ -270,6 +270,39 @@ class SearchServer:
             ):
                 self._replica_load[i] -= 1
 
+    def _replica_search(self, q: str, page: int, per_page: int) -> dict:
+        """One query on the least-loaded replica.  A dead replica fails
+        fast, so its outstanding count falls back to 0 and least-loaded
+        dispatch would keep choosing it: on ``RayActorError`` its slot is
+        respawned in place and the query retried once."""
+        import ray
+        from ray.exceptions import RayActorError
+
+        from .pipelines.search import ScorerReplica
+
+        for retry in (False, True):
+            gen, i, replica = self._acquire_replica()
+            try:
+                return ray.get(
+                    replica.search.remote(q, page=page, per_page=per_page)
+                )
+            except RayActorError:
+                if retry:
+                    raise
+                with self._lock:
+                    # same slot index: in-flight (gen, i) releases stay
+                    # valid; a db switch or a concurrent respawn already
+                    # replaced the handle
+                    if (
+                        gen == self._replica_gen
+                        and self._replica_pool[i] is replica
+                    ):
+                        self._replica_pool[i] = ScorerReplica.remote(
+                            self._index_dir, mode=self._mode
+                        )
+            finally:
+                self._release_replica(gen, i)
+
     def _get_scorer(self):
         """Warm scorer handle for non-request paths (tests, warm-up); the
         pool entry's lock is NOT held — use _acquire_scorer in handlers."""
@@ -374,13 +407,7 @@ class SearchServer:
             import ray as _ray
 
             if self._replicas and _ray.is_initialized():
-                gen, ri, replica = self._acquire_replica()
-                try:
-                    return 200, _ray.get(
-                        replica.search.remote(q, page=page, per_page=per_page)
-                    )
-                finally:
-                    self._release_replica(gen, ri)
+                return 200, self._replica_search(q, page, per_page)
             scorer, lock = self._acquire_scorer()
             try:
                 out = search_with_scorer(

@@ -384,22 +384,10 @@ def write_corpus(ds: "ray.data.Dataset", out_dir: str) -> str:
 
     Only a directory this function wrote is cleared: the first write leaves
     a ``.uciray_corpus`` marker, and a non-empty directory without one is
-    refused rather than emptied."""
-    marker = os.path.join(out_dir, CORPUS_MARKER)
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        if not os.path.exists(marker):
-            raise ValueError(
-                f"write_corpus: {out_dir!r} is non-empty and was not written "
-                f"by write_corpus (no {CORPUS_MARKER} marker); its parquet "
-                "files would be deleted — pass an empty or new directory."
-            )
-        for f in os.listdir(out_dir):
-            if f.endswith(".parquet"):
-                os.remove(os.path.join(out_dir, f))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(marker, "w") as fh:
-        fh.write("corpus written by write_corpus; its parquet parts are "
-                 "replaced on the next write\n")
+    refused rather than emptied (``state/spool.claim_dir``)."""
+    from ..state.spool import claim_dir
+
+    claim_dir(out_dir, CORPUS_MARKER, "write_corpus")
     ds.write_parquet(out_dir)
     return out_dir
 
