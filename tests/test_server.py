@@ -244,12 +244,13 @@ def test_database_download_upload_delete_roundtrip(crawl_served, tmp_path):
 
 def test_concurrent_search_uses_scorer_pool(served):
     """Concurrent /api/search requests succeed, agree with the serial
-    answer, and the pool never grows past its configured size."""
+    answer, and one warm in-process scorer serves them all."""
     import threading
 
     srv, port, _ = served
     st, expect = _req(port, "GET", "/api/search?query=return&page=1&per_page=5")
     assert st == 200
+    scorer = srv._scorer
 
     results, errors = [], []
 
@@ -271,13 +272,13 @@ def test_concurrent_search_uses_scorer_pool(served):
     for s, out in results:
         assert s == 200
         assert out == expect
-    assert 1 <= len(srv._scorer_pool) <= srv._pool_size
+    assert scorer is not None and srv._scorer is scorer
 
 
 def test_replica_actor_mode_matches_inprocess(served):
     """SearchServer(scorer_replicas=N): /api/search answers come from Ray
     replica actors (one warm scorer per process — the GIL-free concurrent
-    path) and must be byte-identical to the in-process pool's JSON."""
+    path) and must be byte-identical to the in-process scorer's JSON."""
     import threading
 
     _, _, idx = served
@@ -289,7 +290,7 @@ def test_replica_actor_mode_matches_inprocess(served):
         want = search_one(idx, "return the", page=1, per_page=5)
         assert out == json.loads(json.dumps(want))  # same JSON round-trip
         assert len(srv._replica_pool) >= 1  # the actor path actually served
-        assert srv._scorer_pool == []  # in-process pool never touched
+        assert srv._scorer is None  # no in-process scorer was built
 
         # concurrent clients agree and spawn up to the replica cap
         results = []
@@ -332,3 +333,189 @@ def test_dead_replica_is_respawned(served):
         assert srv._replica_pool[0] is not dead
     finally:
         srv.close()
+
+
+def _kill_replicas(srv):
+    import ray
+
+    for replica in srv._replica_pool:
+        ray.kill(replica, no_restart=True)
+
+
+def test_scorer_pool_size_and_replicas_need_their_preconditions(
+    served, monkeypatch
+):
+    """scorer_pool_size=1 is the only legal pool size (the message points
+    to scorer_replicas), and replicas without a Ray session fail at
+    construction instead of silently serving in-process."""
+    import ray
+
+    _, _, idx = served
+    SearchServer(index_dir=idx, scorer_pool_size=1)
+    with pytest.raises(ValueError, match="scorer_replicas"):
+        SearchServer(index_dir=idx, scorer_pool_size=2)
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    with pytest.raises(RuntimeError, match="Ray session"):
+        SearchServer(index_dir=idx, scorer_replicas=1)
+
+
+def test_replica_timeout_answers_504(served, monkeypatch):
+    """A replica that never answers gives 504 within the replica timeout
+    instead of blocking the handler thread, and its load slot is freed."""
+    import time
+
+    import ray
+
+    from uci_searchengine_ray import server
+    from uci_searchengine_ray.pipelines import search
+
+    @ray.remote(num_cpus=0)
+    class StuckReplica:
+        def __init__(self, index_dir, mode="reference"):
+            pass
+
+        def search(self, query, page=1, per_page=10):
+            time.sleep(120)
+
+    monkeypatch.setattr(search, "ScorerReplica", StuckReplica)
+    monkeypatch.setattr(server, "REPLICA_TIMEOUT_S", 0.5)
+    _, _, idx = served
+    srv = SearchServer(index_dir=idx, scorer_replicas=2)
+    port = srv.serve()
+    try:
+        t0 = time.monotonic()
+        st, out = _req(port, "GET", "/api/search?query=return")
+        assert st == 504 and "detail" in out
+        assert time.monotonic() - t0 < 5
+        assert srv._replica_load and all(n == 0 for n in srv._replica_load)
+    finally:
+        srv.close()
+        _kill_replicas(srv)
+
+
+def test_replica_pool_grows_only_onto_free_cpus(served, monkeypatch):
+    """With no free CPU in the cluster the pool stays at its first
+    replica and every request is still answered; the request path never
+    asks Ray for the cluster's total resources."""
+    import ray
+
+    def no_totals():
+        raise AssertionError("cluster_resources() on the request path")
+
+    _, _, idx = served
+    path = "/api/search?query=return+the&page=1&per_page=5"
+    want = json.loads(json.dumps(search_one(idx, "return the", 1, 5)))
+    monkeypatch.setattr(ray, "available_resources", lambda: {"CPU": 0})
+    monkeypatch.setattr(ray, "cluster_resources", no_totals)
+    srv = SearchServer(index_dir=idx, scorer_replicas=2)
+    port = srv.serve()
+    try:
+        for _ in range(4):
+            assert _req(port, "GET", path) == (200, want)
+        assert len(srv._replica_pool) == 1
+    finally:
+        srv.close()
+        _kill_replicas(srv)
+
+
+def test_replica_killed_under_load(served):
+    """Kill one of two replicas while 4 clients send 10 requests each:
+    every request is answered 200 with search_one's answer."""
+    import threading
+
+    import ray
+
+    _, _, idx = served
+    path = "/api/search?query=return+the&page=1&per_page=5"
+    want = json.loads(json.dumps(search_one(idx, "return the", 1, 5)))
+    srv = SearchServer(index_dir=idx, scorer_replicas=2)
+    port = srv.serve()
+    try:
+        for _ in range(2):  # the pool spawns lazily, one slot per request
+            assert _req(port, "GET", path) == (200, want)
+        assert len(srv._replica_pool) == 2
+        results, errors = [], []
+        answered = threading.Semaphore(0)
+
+        def client():
+            for _ in range(10):
+                try:
+                    results.append(_req(port, "GET", path))
+                except Exception as e:  # surfaced via the errors assert
+                    errors.append(e)
+                answered.release()
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for _ in range(4):  # load is on: some requests are answered
+            assert answered.acquire(timeout=60)
+        ray.kill(srv._replica_pool[0], no_restart=True)
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert results == [(200, want)] * 40
+    finally:
+        srv.close()
+        _kill_replicas(srv)
+
+
+def test_switch_under_load(served, tmp_path):
+    """POST /api/databases/switch lands while clients query: every answer
+    is the old snapshot's or the new one's, and every request sent after
+    the switch returned gets the new snapshot's answer."""
+    import sys
+    import threading
+    import time
+
+    srv, port, _ = served
+    corpus = write_synthetic_corpus(str(tmp_path / "corpus"), n_docs=60,
+                                    n_files=1)
+    idx_c = build_index(
+        corpus, str(tmp_path / "idx_c"),
+        EngineConfig(mode="reference", block_size=32, num_shards=2),
+        mode="fresh",
+    )
+    srv._catalog.register("snap_c", idx_c)
+    before = srv._catalog.active()
+    path = "/api/search?query=return+the&page=1&per_page=5"
+    old = _req(port, "GET", path)[1]
+    new = json.loads(json.dumps(search_one(idx_c, "return the", 1, 5)))
+    assert old != new
+    secret = {"X-Secret-Key": "s3cr3t"}
+
+    seen = []  # (monotonic send time, status, answer)
+    stop = threading.Event()
+
+    def client():
+        while not stop.is_set():
+            t = time.monotonic()
+            st, out = _req(port, "GET", path)
+            seen.append((t, st, out))
+
+    threads = [threading.Thread(target=client) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(0.5)
+        st, _ = _req(port, "POST", "/api/databases/switch",
+                     body={"db_name": "snap_c"}, headers=secret)
+        switched = time.monotonic()
+        assert st == 200
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(interval)
+        _req(port, "POST", "/api/databases/switch",
+             body={"db_name": before}, headers=secret)
+        _req(port, "DELETE", "/api/databases/snap_c", headers=secret)
+    assert not any(t.is_alive() for t in threads)
+    assert all(st == 200 and out in (old, new) for _, st, out in seen)
+    assert any(out == old for _, _, out in seen)
+    after = [out for t, _, out in seen if t > switched]
+    assert after and all(out == new for out in after)

@@ -132,8 +132,8 @@ def main(argv=None) -> int:
     sv.add_argument("--seed", action="append", default=[],
                     help="crawler seed URL (repeatable)")
     sv.add_argument("--replicas", type=int, default=0,
-                    help="Ray scorer replica actors (0 = in-process pool; "
-                         "N scales concurrent qps past the GIL)")
+                    help="Ray scorer replica actors (0 = one in-process "
+                         "scorer; N scales concurrent qps past the GIL)")
 
     cu = sub.add_parser(
         "curate",

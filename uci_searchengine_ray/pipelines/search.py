@@ -757,10 +757,11 @@ def search_batch(
 @ray.remote(num_cpus=1)
 class ScorerReplica:
     """One warm ``QueryScorer`` per actor PROCESS — the GIL-free serving
-    replica behind ``SearchServer(scorer_replicas=N)``.  The in-process
-    thread pool serializes python-side scoring on one interpreter lock
-    (measured: 8 concurrent HTTP clients throughput BELOW one client's);
-    N replicas put each scorer on its own core, so concurrent qps scales
+    replica behind ``SearchServer(scorer_replicas=N)``.  In-process
+    scoring holds the interpreter lock, so one server process scores one
+    query at a time (measured: a pool of 8 in-process scorers served 8
+    concurrent HTTP clients BELOW one client's throughput); N replicas
+    put each scorer on its own core, so concurrent qps scales
     with replicas until the index's payload reads bound it.  Answers are
     byte-identical to the in-process path (same scorer, same snippets)."""
 

@@ -21,10 +21,11 @@ Endpoints (GET unless noted), mirroring the reference's shapes:
 Mutating requests require the ``X-Secret-Key`` header when a secret is
 configured (routes.py:54-59 analog).
 
-Stdlib ``ThreadingHTTPServer`` — no web framework in this container; the
-server is a serving-side driver process (one QueryScorer, reused across
-requests; actors behind it scale out via ``search_batch``/``ShardedSearcher``
-for throughput serving).  The WebSocket endpoint is a minimal RFC 6455
+Stdlib ``ThreadingHTTPServer`` — no web framework in this container.
+``/api/search`` runs either on one warm in-process ``QueryScorer`` behind one
+lock (scoring holds the GIL, so more in-process scorers add no throughput)
+or, with ``scorer_replicas=N``, on up to N ``ScorerReplica`` Ray actors, one
+warm scorer per process.  The WebSocket endpoint is a minimal RFC 6455
 server half (handshake + unmasked text frames out, masked control frames
 in), the stand-in for the reference's ``broadcast_log`` fan-out
 (websocket_utils.py:12-38); each connection owns its ThreadingMixIn handler
@@ -44,6 +45,10 @@ from typing import List, Optional
 from urllib.parse import parse_qs, urlparse
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+
+# seconds a request waits for its replica's answer: covers a cold replica
+# (actor process spawn + QueryScorer init); past it the request gets 504
+REPLICA_TIMEOUT_S = 30.0
 
 
 def _ws_frame(opcode: int, payload: bytes) -> bytes:
@@ -156,11 +161,23 @@ class SearchServer:
         secret_key: Optional[str] = None,
         pages_path: Optional[str] = None,
         seed_urls: Optional[List[str]] = None,
-        scorer_pool_size: int = 2,
+        scorer_pool_size: int = 1,
         scorer_replicas: int = 0,
     ):
         if index_dir is None and catalog_root is None:
             raise ValueError("need index_dir or catalog_root")
+        if scorer_pool_size != 1:
+            raise ValueError(
+                "scorer_pool_size must be 1: the in-process path serves from "
+                "one warm scorer (scoring holds the GIL); use "
+                "scorer_replicas=N for concurrent throughput"
+            )
+        self._replicas = max(0, int(scorer_replicas))
+        if self._replicas:
+            import ray
+
+            if not ray.is_initialized():
+                raise RuntimeError("scorer_replicas needs a Ray session")
         # crawler lifecycle (routes.py:133-279): background thread + stop
         # flag + last-run counters; pages_path is the static page table the
         # crawl pipeline "fetches" from (no live HTTP in this environment)
@@ -183,59 +200,54 @@ class SearchServer:
         self._index_dir = index_dir
         self._mode = mode
         self._secret = secret_key
-        # small warm-scorer pool: PostingsIndex LRU caches are not
-        # thread-safe, so each scorer carries its own lock; concurrent
-        # requests use different scorers instead of serializing on one
-        self._pool_size = max(1, int(scorer_pool_size))
-        self._scorer_pool: List[tuple] = []  # [(QueryScorer, Lock)]
-        self._pool_rr = 0
-        # opt-in Ray replica actors (one warm scorer per PROCESS): the
-        # in-process pool caps concurrent throughput at ~one core (GIL);
-        # replicas scale qps with cores.  0 = in-process pool only.
-        self._replicas = max(0, int(scorer_replicas))
+        self._scorer = None  # the in-process QueryScorer
+        self._scorer_gen = -1  # the _gen it was built at
         self._replica_pool: List = []
         self._replica_load: List[int] = []  # outstanding calls per replica
-        self._replica_gen = 0  # bumped on db switch; guards stale releases
+        self._replica_up: List[bool] = []  # answered once since spawn
+        # bumped on db switch: rebuilds the local scorer, voids stale
+        # replica releases
+        self._gen = 0
         self._lock = threading.Lock()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     # -- scorer lifecycle (re-pointed on database switch) ------------------
 
-    def _acquire_scorer(self):
-        """(scorer, held lock): a free pool scorer, a lazily-created one
-        (up to the pool size), else block round-robin on a busy one.  The
-        caller MUST release the lock when the query is done."""
-        from .pipelines.search import QueryScorer
+    def _local_search(self, q: str, page: int, per_page: int) -> dict:
+        """One query on the in-process scorer, built first when the
+        snapshot generation moved since it was built (the old scorer is
+        dropped before the new one loads: at most one per process).
+        PostingsIndex LRU caches are not thread-safe, so queries run
+        under the server lock."""
+        from .pipelines import search
 
         with self._lock:
             if self._index_dir is None:
                 raise RuntimeError("no active index")
-            for scorer, lock in self._scorer_pool:
-                if lock.acquire(blocking=False):
-                    return scorer, lock
-            if len(self._scorer_pool) < self._pool_size:
-                scorer = QueryScorer(self._index_dir, mode=self._mode)
-                lock = threading.Lock()
-                lock.acquire()
-                self._scorer_pool.append((scorer, lock))
-                return scorer, lock
-            self._pool_rr = (self._pool_rr + 1) % len(self._scorer_pool)
-            scorer, lock = self._scorer_pool[self._pool_rr]
-        lock.acquire()  # block OUTSIDE the pool lock (no deadlock)
-        return scorer, lock
+            if self._scorer_gen != self._gen:
+                self._scorer = None
+                self._scorer = search.QueryScorer(
+                    self._index_dir, mode=self._mode
+                )
+                self._scorer_gen = self._gen
+            # looked up on the module per call, so a wrapped
+            # search_with_scorer (the benchmark's tracer) is the one run
+            return search.search_with_scorer(
+                self._scorer, q, page=page, per_page=per_page
+            )
 
     def _acquire_replica(self):
         """(generation, index, actor): the LEAST-LOADED Ray replica
-        (spawned lazily, up to ``scorer_replicas`` CAPPED at the cluster's
-        CPU count — a replica needs a CPU slot to ever schedule, and an
-        unschedulable pending actor would hang its requests in ray.get
-        forever).  Ray actors queue calls internally, so no per-replica
-        lock is needed; the HTTP thread blocks in ``ray.get`` (releasing
-        the GIL) while the replica process scores.  Outstanding-call
-        counts beat round-robin under concurrent load: RR can stack two
-        clients on one actor while another idles.  The caller MUST pair
-        with ``_release_replica(gen, i)``."""
+        (spawned lazily, up to ``scorer_replicas``; past the first, only
+        while Ray shows a free CPU beyond those of replicas that have not
+        answered yet, as its resource view lags a spawn — a replica with
+        no CPU never schedules).  Ray actors queue calls internally, so no
+        per-replica lock is needed; the HTTP thread blocks in ``ray.get``
+        (releasing the GIL) while the replica process scores.
+        Outstanding-call counts beat round-robin under concurrent load: RR
+        can stack two clients on one actor while another idles.  The
+        caller MUST pair with ``_release_replica``."""
         import ray
 
         from .pipelines.search import ScorerReplica
@@ -243,49 +255,57 @@ class SearchServer:
         with self._lock:
             if self._index_dir is None:
                 raise RuntimeError("no active index")
-            cap = min(
-                self._replicas,
-                max(1, int(ray.cluster_resources().get("CPU", 1))),
-            )
-            if len(self._replica_pool) < cap:
+            n = len(self._replica_pool)
+            if n == 0 or (
+                n < self._replicas
+                and ray.available_resources().get("CPU", 0)
+                >= 1 + self._replica_up.count(False)
+            ):
                 self._replica_pool.append(
                     ScorerReplica.remote(self._index_dir, mode=self._mode)
                 )
                 self._replica_load.append(0)
-                i = len(self._replica_pool) - 1
+                self._replica_up.append(False)
+                i = n
             else:
-                i = min(range(len(self._replica_pool)),
-                        key=self._replica_load.__getitem__)
+                i = min(range(n), key=self._replica_load.__getitem__)
             self._replica_load[i] += 1
-            return self._replica_gen, i, self._replica_pool[i]
+            return self._gen, i, self._replica_pool[i]
 
-    def _release_replica(self, gen: int, i: int) -> None:
+    def _release_replica(self, gen: int, i: int, replica,
+                         answered: bool) -> None:
         with self._lock:
             # a db switch swaps the pool mid-flight: a stale-generation
             # release must NOT deflate a new replica's count
-            if (
-                gen == self._replica_gen
-                and i < len(self._replica_load)
-                and self._replica_load[i] > 0
-            ):
+            if gen == self._gen:
                 self._replica_load[i] -= 1
+                if answered and self._replica_pool[i] is replica:
+                    self._replica_up[i] = True
 
-    def _replica_search(self, q: str, page: int, per_page: int) -> dict:
-        """One query on the least-loaded replica.  A dead replica fails
-        fast, so its outstanding count falls back to 0 and least-loaded
-        dispatch would keep choosing it: on ``RayActorError`` its slot is
-        respawned in place and the query retried once."""
+    def _replica_search(self, q: str, page: int, per_page: int) -> tuple:
+        """(status, payload) of one query on the least-loaded replica.  A
+        dead replica fails fast, so its outstanding count falls back to 0
+        and least-loaded dispatch would keep choosing it: on
+        ``RayActorError`` its slot is respawned in place and the query
+        retried once.  A replica that does not answer within
+        ``REPLICA_TIMEOUT_S`` gives 504."""
         import ray
-        from ray.exceptions import RayActorError
+        from ray.exceptions import GetTimeoutError, RayActorError
 
         from .pipelines.search import ScorerReplica
 
         for retry in (False, True):
             gen, i, replica = self._acquire_replica()
+            answered = False
             try:
-                return ray.get(
-                    replica.search.remote(q, page=page, per_page=per_page)
+                out = ray.get(
+                    replica.search.remote(q, page=page, per_page=per_page),
+                    timeout=REPLICA_TIMEOUT_S,
                 )
+                answered = True
+                return 200, out
+            except GetTimeoutError:
+                return 504, {"detail": "scorer replica timed out"}
             except RayActorError:
                 if retry:
                     raise
@@ -293,22 +313,13 @@ class SearchServer:
                     # same slot index: in-flight (gen, i) releases stay
                     # valid; a db switch or a concurrent respawn already
                     # replaced the handle
-                    if (
-                        gen == self._replica_gen
-                        and self._replica_pool[i] is replica
-                    ):
+                    if gen == self._gen and self._replica_pool[i] is replica:
                         self._replica_pool[i] = ScorerReplica.remote(
                             self._index_dir, mode=self._mode
                         )
+                        self._replica_up[i] = False
             finally:
-                self._release_replica(gen, i)
-
-    def _get_scorer(self):
-        """Warm scorer handle for non-request paths (tests, warm-up); the
-        pool entry's lock is NOT held — use _acquire_scorer in handlers."""
-        scorer, lock = self._acquire_scorer()
-        lock.release()
-        return scorer
+                self._release_replica(gen, i, replica, answered)
 
     def switch(self, name: str) -> str:
         if self._catalog is None:
@@ -316,17 +327,14 @@ class SearchServer:
         path = self._catalog.switch(name)
         with self._lock:
             self._index_dir = path
-            # in-flight requests finish on their old scorer objects; new
-            # requests repopulate the pool from the new snapshot
-            self._scorer_pool = []
-            self._pool_rr = 0
+            self._gen += 1
             # replicas hold the OLD snapshot in their own processes: let
             # in-flight calls finish (no ray.kill), drop the handles, and
             # lazy respawn repoints new requests; the generation bump
-            # voids their pending releases
+            # voids their pending releases and rebuilds the local scorer
             self._replica_pool = []
             self._replica_load = []
-            self._replica_gen += 1
+            self._replica_up = []
         return path
 
     # -- crawler lifecycle (routes.py:133-279) -----------------------------
@@ -390,32 +398,15 @@ class SearchServer:
         """``raw`` is the spooled temp-file PATH of a binary request body
         ("" for JSON/empty bodies) — bodies are streamed to disk, not RAM."""
         if path == "/api/search" and method == "GET":
-            from .pipelines.search import search_with_scorer
-
             q = (query.get("query") or [""])[0]
             try:
                 page = int((query.get("page") or ["1"])[0])
                 per_page = int((query.get("per_page") or ["10"])[0])
             except ValueError:
                 return 400, {"detail": "page/per_page must be integers"}
-            # replica actors when configured AND Ray is up (GIL-free
-            # concurrent qps); else the in-process warm scorer POOL —
-            # each scorer has its own lock (PostingsIndex LRU caches are
-            # not thread-safe), so up to pool-size queries run
-            # concurrently on one interpreter; sharded fan-out goes
-            # through ShardedSearcher
-            import ray as _ray
-
-            if self._replicas and _ray.is_initialized():
-                return 200, self._replica_search(q, page, per_page)
-            scorer, lock = self._acquire_scorer()
-            try:
-                out = search_with_scorer(
-                    scorer, q, page=page, per_page=per_page
-                )
-            finally:
-                lock.release()
-            return 200, out
+            if self._replicas:
+                return self._replica_search(q, page, per_page)
+            return 200, self._local_search(q, page, per_page)
 
         if path == "/api/databases" and method == "GET":
             if self._catalog is None:
