@@ -223,7 +223,6 @@ def _merge_run(term: str, ids):
     return {
         "term": term,
         "merge_key": 0,
-        "range_bucket": 0,
         "n": len(ids),
         "tf_sum": len(ids),
         "ids_enc": codecs.varbyte_encode_segments(

@@ -3,6 +3,7 @@ identical to an uninterrupted build (FIXTURES.md §5, SURVEY.md §5 item 4)."""
 
 import glob
 import hashlib
+import json
 import os
 
 import pytest
@@ -90,9 +91,42 @@ def test_rebuild_mode_redoes_merge_only(ray_session, corpus, tmp_path_factory):
     snap = str(tmp_path_factory.mktemp("rb") / "s")
     build_index(corpus, snap, CFG, mode="fresh")
     d1 = _dir_digest(snap)
-    runs_files = sorted(glob.glob(os.path.join(snap, "runs", "*", "*.parquet")))
+    runs_files = sorted(
+        glob.glob(os.path.join(snap, "runs", "**", "*.parquet"), recursive=True)
+    )
+    assert runs_files
     mtimes = {f: os.path.getmtime(f) for f in runs_files}
     build_index(corpus, snap, CFG, mode="rebuild")
     assert _dir_digest(snap) == d1
     # phase-1 outputs untouched (no re-tokenize)
     assert {f: os.path.getmtime(f) for f in runs_files} == mtimes
+
+
+def test_rebuild_merges_runs_in_older_nested_layout(
+    ray_session, corpus, tmp_path_factory
+):
+    """Snapshots from older builds keep each run file one directory deeper
+    (runs/group=G/merge_key=M/range_bucket=0/).  A rebuild over that layout
+    merges the same runs into value-identical postings and term_stats."""
+    import shutil
+
+    snap = str(tmp_path_factory.mktemp("nested") / "s")
+    build_index(corpus, snap, CFG, mode="fresh")
+    d1 = _dir_digest(snap)
+    runs_files = glob.glob(
+        os.path.join(snap, "runs", "*", "merge_key=*", "*.parquet")
+    )
+    assert runs_files
+    for f in runs_files:
+        sub = os.path.join(os.path.dirname(f), "range_bucket=0")
+        os.makedirs(sub, exist_ok=True)
+        shutil.move(f, os.path.join(sub, os.path.basename(f)))
+    # ...and pinned two more keys in build_config.json
+    bc = os.path.join(snap, "build_config.json")
+    with open(bc) as fh:
+        pinned = json.load(fh)
+    pinned.update(doc_id_bits=63, doc_range_buckets=1)
+    with open(bc, "w") as fh:
+        json.dump(pinned, fh)
+    build_index(corpus, snap, CFG, mode="rebuild")
+    assert _dir_digest(snap) == d1

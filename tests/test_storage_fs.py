@@ -192,3 +192,54 @@ def test_incremental_ingest_through_generic_fs(
         ia, ca = score_reference(a, q)
         ib, cb = score_reference(b, q)
         assert np.array_equal(ia, ib) and np.array_equal(ca, cb)
+
+
+@pytest.mark.parametrize("where", ["local", "mockfs"])
+def test_drop_stage_partitions_keeps_other_rows_in_order(
+    mockfs_scheme, tmp_path, where
+):
+    """Dropping one runs partition out of three rewrites the manifest once:
+    the other rows (both stages) survive, in their original order."""
+    idx = (
+        str(tmp_path / "m")
+        if where == "local"
+        else f"mockfs://manifests/{tmp_path.name}"
+    )
+    rows = [
+        {"stage": "runs", "partition": "group=0", "status": "done", "docs": 1},
+        {"stage": "postings", "partition": "all", "status": "done"},
+        {"stage": "runs", "partition": "group=1", "status": "done", "docs": 2},
+        {"stage": "runs", "partition": "group=2", "status": "done", "docs": 3},
+    ]
+    for r in rows:
+        manifest.append_row(idx, r)
+    manifest.drop_stage(idx, "runs", partitions=["group=1"])
+    assert manifest.read_rows(idx) == [rows[0], rows[1], rows[3]]
+    assert manifest.completed(idx, "runs") == {"group=0", "group=2"}
+    # without partitions= the whole stage goes
+    manifest.drop_stage(idx, "runs")
+    assert manifest.read_rows(idx) == [rows[1]]
+
+
+@pytest.mark.parametrize("where", ["local", "mockfs"])
+def test_parquet_rows_recursive_on_path_or_uri(mockfs_scheme, tmp_path, where):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    uri = (
+        str(tmp_path / "t")
+        if where == "local"
+        else f"mockfs://rows/{tmp_path.name}"
+    )
+    fs, root = storage.resolve(uri)
+    for sub, n in (("a=0", 3), ("a=1/b=2", 5)):
+        d = storage.join(root, sub)
+        storage.makedirs(fs, d)
+        pq.write_table(
+            pa.table({"x": list(range(n))}),
+            storage.join(d, "part-0.parquet"),
+            filesystem=fs,
+        )
+    assert storage.parquet_rows(uri) == 8
+    assert storage.parquet_rows(root, fs) == 8
+    assert storage.parquet_rows(storage.join(uri, "a=1/b=2/part-0.parquet")) == 5

@@ -5,7 +5,7 @@ job entry points — no process-global singletons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -24,19 +24,6 @@ class EngineConfig:
     # num_merge_groups (each group merges many terms in one vectorized call);
     # raise with corpus size so groups stay worker-sized
     num_merge_groups: int = 64
-
-    # doc-range buckets (power of two): partitions every term's postings by
-    # the high bits of doc_id, so a Zipf-hot term (df up to N) is merged and
-    # block-encoded by doc_range_buckets INDEPENDENT tasks, each bounded to
-    # ~df/buckets postings — the escape hatch for terms whose full posting
-    # list exceeds one worker's memory.  Blocks stay globally doc-ascending
-    # (bucket = id prefix; block_id = bucket << 20 | local), idf/block-max
-    # bounds use the GLOBAL df broadcast from run metadata, and query results
-    # are bit-identical to a single-range build (tested).  Cost: run-row
-    # count (and phase-1/2 constant work) grows ~buckets×, so enable only
-    # when df_max × posting-bytes approaches worker memory (e.g. stopwords
-    # at 10^10+ docs in reference mode).  1 = single-range (default)
-    doc_range_buckets: int = 1
 
     # tokenize-stage batch size (docs per batch).  Bigger batches mean fewer
     # phase-1 runs per term (runs ≈ n_batches × batch vocab), which is the
@@ -72,9 +59,6 @@ class EngineConfig:
 
     # query serving
     top_k: int = 100
-    snippet_len: int = 200
-
-    extra: dict = field(default_factory=dict)
 
 
 def configure_data_context() -> None:

@@ -14,13 +14,14 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     manifest row: {stage: runs, partition: G, docs, tokens}
 
   phase 2 — global merge (runs are compressed, ~1-2 B/posting):
-    one task per (merge_key, range_bucket) reads runs/*/merge_key=M/ and
-    merges its terms (no groupby/sort — data is already co-located by key)
+    one task per merge_key reads runs/*/merge_key=M/ ONCE and merges its
+    terms (no groupby/sort — data is already co-located by key)
       → postings/shard=K/ (partition_cols=["shard"])
-    term_stats (term, df) computed PER MERGE KEY inside phase-2 tasks from
-    run metadata (term, n) columns only — per-task memory is bounded by
-    vocab/num_merge_groups and the driver never materializes the vocabulary
-    (VERDICT r1 item #2); stats.json with N / avgdl / total_tokens / n_terms.
+    term_stats (term, df) computed PER MERGE KEY inside the same task from
+    the (term, n) columns of the table it merges — per-task memory is
+    bounded by vocab/num_merge_groups and the driver never materializes the
+    vocabulary (VERDICT r1 item #2); stats.json with N / avgdl /
+    total_tokens / n_terms.  One merge key's postings must fit one worker.
 
 Build modes mirror the reference's crawl modes (routes.py:133-219):
   fresh    — wipe the snapshot dir, build everything
@@ -46,7 +47,6 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 import pyarrow.dataset as pa_ds
-import pyarrow.parquet as pq
 
 import ray.data
 
@@ -94,14 +94,6 @@ def _groups_of(files: Sequence[str], n_groups: int) -> List[List[str]]:
     return groups
 
 
-def _parquet_rows(fs, dir_path: str) -> int:
-    """Row count from parquet footers only (no data read)."""
-    return sum(
-        pq.read_metadata(p, filesystem=fs).num_rows
-        for p in storage.ls_files(fs, dir_path, suffix=".parquet")
-    )
-
-
 def _sum_column(fs, dir_path: str, column: str) -> int:
     files = storage.ls_files(fs, dir_path, suffix=".parquet")
     if not files:
@@ -111,28 +103,6 @@ def _sum_column(fs, dir_path: str, column: str) -> int:
     for batch in dataset.to_batches(columns=[column]):
         total += int(batch.column(0).to_numpy(zero_copy_only=False).sum())
     return total
-
-
-def _corpus_id_bits(cfs, files: Sequence[str]) -> int:
-    """Bits spanned by the corpus's doc_id range, from parquet FOOTER stats
-    only (no data read) — the doc-range bucket shift derives from this so
-    dense 0..N ids actually spread across buckets (VERDICT r1 item #7; the
-    63-bit assumption degenerated every dense-id corpus into bucket 0).
-    Inputs without a doc_id column derive ids later via the 63-bit stable
-    hash, so 63 is the correct answer for them."""
-    best = -1
-    for f in files:
-        md = pq.read_metadata(f, filesystem=cfs)
-        names = [md.schema.column(i).name for i in range(md.num_columns)]
-        if "doc_id" not in names:
-            return 63
-        ci = names.index("doc_id")
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is None or not st.has_min_max:
-                return 63  # no stats → assume full-width hashed ids
-            best = max(best, int(st.max))
-    return max(1, best.bit_length()) if best >= 0 else 63
 
 
 def build_index(
@@ -148,9 +118,6 @@ def build_index(
     cfg = cfg or EngineConfig()
     if mode not in ("fresh", "continue", "rebuild"):
         raise ValueError(f"unknown build mode {mode!r}")
-    if not 1 <= cfg.doc_range_buckets <= 2047:
-        # block ids pack as (range_bucket << 20) | within into int32
-        raise ValueError("doc_range_buckets must be in [1, 2047]")
 
     fs, root = storage.resolve(index_dir)
     if mode == "fresh" and storage.exists(fs, root):
@@ -163,27 +130,20 @@ def build_index(
 
     cfs, files = _input_files(corpus_path)
 
-    # run-shaping parameters are pinned at first build (build_config.json):
-    # the doc-range bucket shift so later higher-id files keep their bucket
-    # assignment, and the knobs that change the RUN FORMAT or key layout —
-    # resuming with different values would merge incompatible runs (e.g. a
-    # store_positions flip yields blocks whose position payloads cover only
-    # some postings, silently mis-split at query time)
-    id_bits = 63
-    if cfg.doc_range_buckets > 1:
-        id_bits = _corpus_id_bits(cfs, files)
+    # the knobs that change the RUN FORMAT or key layout are pinned at first
+    # build (build_config.json) — resuming with different values would merge
+    # incompatible runs (e.g. a store_positions flip yields blocks whose
+    # position payloads cover only some postings, silently mis-split at
+    # query time).  Only keys both configs carry are compared, so snapshots
+    # that pinned extra keys still resume.
     bc_path = storage.join(root, "build_config.json")
     pinned = {
-        "doc_id_bits": id_bits,
         "mode": cfg.mode,
         "store_positions": bool(cfg.store_positions),
         "num_merge_groups": cfg.num_merge_groups,
-        "doc_range_buckets": cfg.doc_range_buckets,
     }
     if mode != "fresh" and storage.exists(fs, bc_path):
         prior_cfg = storage.read_json(fs, bc_path)
-        id_bits = int(prior_cfg.get("doc_id_bits", id_bits))
-        pinned["doc_id_bits"] = id_bits
         drift = {
             k: (prior_cfg[k], pinned[k])
             for k in pinned
@@ -212,18 +172,7 @@ def build_index(
     current_parts = {f"group={gid}" for gid, gf in enumerate(groups) if gf}
     stale = [p for p in prior_inputs if p not in current_parts]
     if stale:
-        keep_rows = [
-            r
-            for r in manifest.read_rows(index_dir)
-            if not (
-                r.get("stage") == STAGE_RUNS
-                and str(r.get("partition")) in stale
-            )
-        ]
-        manifest.drop_stage(index_dir, STAGE_RUNS)
-        for r in keep_rows:
-            if r.get("stage") == STAGE_RUNS:
-                manifest.append_row(index_dir, r)
+        manifest.drop_stage(index_dir, STAGE_RUNS, partitions=stale)
         for p in stale:
             storage.rm_tree(fs, storage.join(root, STAGE_RUNS, p))
             storage.rm_tree(fs, storage.join(root, "doc_meta", p))
@@ -241,15 +190,7 @@ def build_index(
         if part in done:
             # incremental ingest: this group's membership changed (new input
             # files) — drop its manifest row and rebuild it from scratch
-            rows = [
-                r
-                for r in manifest.read_rows(index_dir)
-                if not (r.get("stage") == STAGE_RUNS and str(r.get("partition")) == part)
-            ]
-            manifest.drop_stage(index_dir, STAGE_RUNS)
-            for r in rows:
-                if r.get("stage") == STAGE_RUNS:
-                    manifest.append_row(index_dir, r)
+            manifest.drop_stage(index_dir, STAGE_RUNS, partitions=[part])
         ds = ray.data.read_parquet(gfiles, filesystem=cfs, columns=read_columns)
         if adapt_batches is not None:
             # input-shape adapter (e.g. driver `documents` rows → corpus shape)
@@ -269,9 +210,7 @@ def build_index(
         # corpora keep parallelism and batch bytes stay heap-bounded
         bs = cfg.tokenize_batch_size
         if bs is None:
-            rows_g = sum(
-                pq.read_metadata(f, filesystem=cfs).num_rows for f in gfiles
-            )
+            rows_g = sum(storage.parquet_rows(f, cfs) for f in gfiles)
             ncpu = int(ray.cluster_resources().get("CPU", 0)) or 32
             bs = max(1024, min(8192, (rows_g + ncpu - 1) // ncpu))
 
@@ -289,9 +228,7 @@ def build_index(
                 meta_dir=meta_staged.path,
                 meta_fs=fs,
                 store_positions=cfg.store_positions,
-                doc_range_buckets=cfg.doc_range_buckets,
                 store_content=cfg.store_content,
-                id_bits=id_bits,
             ),
             batch_format="pyarrow",
             batch_size=bs,
@@ -300,12 +237,9 @@ def build_index(
         # hive-partition the runs by merge_key at write time: this IS the
         # phase-1→2 exchange (disk-backed shuffle), so phase 2 needs no
         # sort/groupby at all — each merge task reads exactly its key's files
-        # (plus, when doc_range_buckets > 1, its doc-range slice)
         runs_staged = storage.StagedDir(fs, runs_dir)
         runs.write_parquet(
-            runs_staged.path,
-            filesystem=fs,
-            partition_cols=["merge_key", "range_bucket"],
+            runs_staged.path, filesystem=fs, partition_cols=["merge_key"]
         )
         runs_staged.commit()
         meta_staged.commit()
@@ -313,7 +247,7 @@ def build_index(
         # token accounting from the FEW doc_meta files (doc_len column, one
         # small column chunk each) — scanning the tf_sum column of every run
         # file cost 3.9 s driver-side at 11k files
-        docs = _parquet_rows(fs, meta_staged.final)
+        docs = storage.parquet_rows(meta_staged.final, fs)
         tokens = _sum_column(fs, meta_staged.final, "doc_len")
         manifest.append_row(
             index_dir,
@@ -354,11 +288,11 @@ def build_index(
             storage.rm_tree(fs, storage.join(root, sub))
 
     # ---- phase 2: merge runs → blocks → sharded parquet (NO shuffle:
-    # runs are already (key, doc-range)-partitioned on disk; one task per
-    # (merge_key, range_bucket) pair).  Each task derives its merge key's
-    # GLOBAL df slice from run metadata (term, n) columns across all range
-    # buckets of its key — no driver-side vocabulary aggregate, no broadcast
-    # dict; per-task df memory is bounded by vocab/num_merge_groups. ----
+    # runs are already key-partitioned on disk; one task per merge_key).
+    # Each task reads its key's run files once and derives the key's
+    # term_stats slice from the (term, n) columns of that same table — no
+    # driver-side vocabulary aggregate; per-task df memory is bounded by
+    # vocab/num_merge_groups. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
         merge = make_merge_shard(
             n_docs=n_docs,
@@ -368,106 +302,42 @@ def build_index(
             k1=cfg.bm25_k1,
             b=cfg.bm25_b,
         )
-        runs_root = storage.join(root, STAGE_RUNS)
-        group_dirs = storage.ls_dirs(fs, runs_root)
+        group_dirs = storage.ls_dirs(fs, storage.join(root, STAGE_RUNS))
         ts_dir = storage.join(root, "term_stats")
         storage.rm_tree(fs, ts_dir)
         storage.makedirs(fs, ts_dir)
-        n_buckets = cfg.doc_range_buckets
 
-        def _key_run_files(key: int, rb: Optional[int]) -> List[str]:
-            """Run files of one merge key (optionally one range bucket),
-            via direct per-directory listings — no recursive glob."""
-            out: List[str] = []
-            for gd in group_dirs:
-                kd = storage.join(gd, f"merge_key={key}")
-                if rb is None:
-                    out.extend(storage.ls_files(fs, kd, suffix=".parquet"))
-                else:
-                    out.extend(
-                        storage.ls_files(
-                            fs,
-                            storage.join(kd, f"range_bucket={rb}"),
-                            suffix=".parquet",
-                        )
-                    )
-            return out
-
-        def merge_kr_batch(batch):
+        def merge_key_batch(batch):
             import pyarrow as pa
 
             from ..stages.postings import BLOCK_SCHEMA
 
-            def _ts_of(meta_tbl: "pa.Table") -> "pa.Table":
+            outs = []
+            for key in batch["merge_key"].to_pylist():
+                # recursive listing: runs written by older builds sit one
+                # directory deeper under the key dir
+                paths = [
+                    p
+                    for gd in group_dirs
+                    for p in storage.ls_files(
+                        fs, storage.join(gd, f"merge_key={key}"), suffix=".parquet"
+                    )
+                ]
+                if not paths:
+                    continue
+                tbl = pa_ds.dataset(paths, format="parquet", filesystem=fs).to_table()
                 ts = (
-                    meta_tbl.group_by("term")
+                    tbl.select(["term", "n"])
+                    .group_by("term")
                     .aggregate([("n", "sum")])
                     .rename_columns(["term", "df"])
                 )
-                return ts.set_column(1, "df", ts["df"].cast("int64"))
-
-            outs = []
-            df_cache: dict = {}
-            for key, rb in zip(
-                batch["merge_key"].to_pylist(), batch["range_bucket"].to_pylist()
-            ):
-                tbl = None
-                if key not in df_cache:
-                    if n_buckets > 1:
-                        # df slice needs run metadata from ALL range buckets
-                        # of the key (global df), a (term, n)-column-only scan
-                        kfiles = _key_run_files(key, None)
-                        ts = (
-                            _ts_of(
-                                pa_ds.dataset(
-                                    kfiles, format="parquet", filesystem=fs
-                                ).to_table(columns=["term", "n"])
-                            )
-                            if kfiles
-                            else None
-                        )
-                    else:
-                        # single bucket: this rb's files ARE the whole key —
-                        # read once, derive both the df slice and the merge
-                        # input from the same table (halves file opens/reads)
-                        paths = _key_run_files(key, rb)
-                        tbl = (
-                            pa_ds.dataset(
-                                paths, format="parquet", filesystem=fs
-                            ).to_table()
-                            if paths
-                            else None
-                        )
-                        ts = (
-                            _ts_of(tbl.select(["term", "n"]))
-                            if tbl is not None
-                            else None
-                        )
-                    df_cache[key] = ts
-                    if ts is not None and ts.num_rows:
-                        # the key's term_stats slice, written once (rb loop
-                        # may hit the key multiple times; idempotent name)
-                        storage.write_table_idempotent(
-                            fs, ts, ts_dir, f"ts-key{key}.parquet"
-                        )
-                ts = df_cache[key]
-                if ts is None:
-                    continue
-                if tbl is None:
-                    paths = _key_run_files(key, rb)
-                    if not paths:
-                        continue
-                    tbl = pa_ds.dataset(
-                        paths, format="parquet", filesystem=fs
-                    ).to_table()
-                df_lookup = (
-                    dict(zip(ts["term"].to_pylist(), ts["df"].to_pylist()))
-                    if n_buckets > 1
-                    else None
-                )
-                outs.append(
-                    merge(tbl, block_id_base=rb << 20, df_lookup=df_lookup)
-                )
+                ts = ts.set_column(1, "df", ts["df"].cast("int64"))
+                if ts.num_rows:
+                    storage.write_table_idempotent(
+                        fs, ts, ts_dir, f"ts-key{key}.parquet"
+                    )
+                outs.append(merge(tbl))
             return (
                 pa.concat_tables(outs)
                 if outs
@@ -477,14 +347,10 @@ def build_index(
             )
 
         keys = ray.data.from_items(
-            [
-                {"merge_key": k, "range_bucket": r}
-                for k in range(cfg.num_merge_groups)
-                for r in range(n_buckets)
-            ]
+            [{"merge_key": k} for k in range(cfg.num_merge_groups)]
         )
         blocks = keys.map_batches(
-            merge_kr_batch, batch_format="pyarrow", batch_size=n_buckets
+            merge_key_batch, batch_format="pyarrow", batch_size=1
         )
         postings_staged = storage.StagedDir(fs, storage.join(root, STAGE_POSTINGS))
         blocks.write_parquet(
@@ -492,7 +358,7 @@ def build_index(
         )
         postings_staged.commit()
 
-        n_terms = _parquet_rows(fs, ts_dir)
+        n_terms = storage.parquet_rows(ts_dir, fs)
         stats = {
             "n_docs": n_docs,
             "total_tokens": total_tokens,
@@ -502,8 +368,6 @@ def build_index(
             "block_size": cfg.block_size,
             "num_shards": cfg.num_shards,
             "num_merge_groups": cfg.num_merge_groups,
-            "doc_range_buckets": cfg.doc_range_buckets,
-            "doc_id_bits": id_bits,
             "store_positions": cfg.store_positions,
             "bm25_k1": cfg.bm25_k1,
             "bm25_b": cfg.bm25_b,

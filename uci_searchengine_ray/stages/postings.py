@@ -7,24 +7,21 @@ delta+varbyte-compressed, block-max-annotated posting lists in two stages:
   phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
       corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
       (term, doc) pair is unique afterwards), then sort (term, doc_id) within
-      the batch and emit one compressed *run* row per (term [, doc-range
-      bucket]) per batch.  Fusing tokenize→explode→encode in one stage means
-      raw postings never cross the object store — only ~1-2 byte/posting
-      runs do — and the hive-partitioned run write (by merge_key =
-      hash(term) % num_merge_groups, and range_bucket = doc_id high bits)
-      IS the phase-1→2 exchange: a disk-backed shuffle with no sort.
+      the batch and emit one compressed *run* row per term per batch.
+      Fusing tokenize→explode→encode in one stage means raw postings never
+      cross the object store — only ~1-2 byte/posting runs do — and the
+      hive-partitioned run write (by merge_key = hash(term) %
+      num_merge_groups) IS the phase-1→2 exchange: a disk-backed shuffle
+      with no sort.
 
-  phase 2 — one task per (merge_key [, range_bucket]) reads exactly its
-      co-located run files and runs ``merge_shard``: per term, the runs
-      (disjoint doc sets) are decoded, merge-sorted and re-encoded into
-      fixed-size blocks with df and block-max metadata; many terms merge in
-      one vectorized call (no per-term Ray scheduling).  Zipf skew: raise
-      ``num_merge_groups`` to balance groups, and set ``doc_range_buckets``
-      > 1 so a term whose full posting list exceeds one worker's memory is
-      merged by independent doc-range tasks (global df broadcast from run
-      metadata; block ids bucket-offset so blocks stay globally
-      doc-ascending).  Stopword filtering in code mode removes the worst
-      offenders outright.
+  phase 2 — one task per merge_key reads exactly its co-located run files
+      and runs ``merge_shard``: per term, the runs (disjoint doc sets) are
+      decoded, merge-sorted and re-encoded into fixed-size blocks with df
+      and block-max metadata; many terms merge in one vectorized call (no
+      per-term Ray scheduling).  Zipf skew: raise ``num_merge_groups`` to
+      balance groups; stopword filtering in code mode removes the worst
+      offenders outright.  One merge key's postings must fit one worker
+      (the 1M-doc adversarial build, hottest df ≈ 1M, stayed within it).
 
 Block rows carry ``shard = hash(term) % num_shards`` for partitioned output —
 one directory per shard, the unit of query-side placement.
@@ -47,7 +44,6 @@ RUN_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("merge_key", pa.int32()),
-        ("range_bucket", pa.int32()),
         ("n", pa.int32()),
         ("tf_sum", pa.int64()),
         ("ids_enc", pa.large_binary()),
@@ -93,23 +89,14 @@ class TokenizeEncodeRuns:
         meta_dir: str | None = None,
         meta_fs=None,
         store_positions: bool = False,
-        doc_range_buckets: int = 1,
         store_content: bool = True,
-        id_bits: int = 63,
     ):
-        if doc_range_buckets & (doc_range_buckets - 1):
-            raise ValueError("doc_range_buckets must be a power of two")
         self._tokenize = TOKENIZERS[mode]
         self._num_merge_groups = num_merge_groups
         self._meta_dir = meta_dir
         self._meta_fs = meta_fs  # pyarrow.fs handle (picklable), None = local
         self._store_positions = store_positions
         self._store_content = store_content
-        # bucket = doc_id >> shift; shift derives from the CORPUS id span
-        # (id_bits, from footer stats — build_index._corpus_id_bits) so dense
-        # 0..N ids spread across buckets just like 63-bit hashed ids
-        self._bucket_shift = max(0, id_bits - (doc_range_buckets.bit_length() - 1))
-        self._max_bucket = doc_range_buckets - 1
 
     def _write_meta_sidecar(self, batch: pa.Table, doc_ids, doc_lens) -> None:
         """Fused doc-meta output: one parquet file per batch, written from
@@ -221,19 +208,9 @@ class TokenizeEncodeRuns:
         tf_arr, dl_arr = tf_arr[order], dl_arr[order]
         if want_pos:
             post_pos = [post_pos[j] for j in order]
-        # doc-range bucket = high bits of doc_id (contiguous within the
-        # term-sorted doc order, so run boundaries split cleanly); clamped so
-        # ids beyond the pinned id span (incremental growth) stay mergeable
-        if self._bucket_shift < 63:
-            bucket_arr = np.minimum(
-                doc_arr >> self._bucket_shift, self._max_bucket
-            ).astype(np.int32)
-        else:
-            bucket_arr = np.zeros(len(doc_arr), np.int32)
-
-        # run boundaries: starts of each distinct (term, range_bucket)
-        brk = (term_arr[1:] != term_arr[:-1]) | (bucket_arr[1:] != bucket_arr[:-1])
-        starts = np.concatenate(([0], np.flatnonzero(brk) + 1, [len(term_arr)]))
+        # run boundaries: starts of each distinct term
+        brk = np.flatnonzero(term_arr[1:] != term_arr[:-1]) + 1
+        starts = np.concatenate(([0], brk, [len(term_arr)]))
         seg_starts = starts[:-1]
         # ONE vectorized encode pass per payload column, split at run
         # boundaries — byte-identical to per-run encoding but without ~3
@@ -273,7 +250,6 @@ class TokenizeEncodeRuns:
             {
                 "term": pa.array(run_terms, pa.string()),
                 "merge_key": pa.array(merge_keys, pa.int32()),
-                "range_bucket": pa.array(bucket_arr[seg_starts], pa.int32()),
                 "n": pa.array(np.diff(starts).astype(np.int32), pa.int32()),
                 "tf_sum": pa.array(tf_sums.astype(np.int64), pa.int64()),
                 "ids_enc": pa.array(ids_enc, pa.large_binary()),
@@ -310,17 +286,9 @@ def make_merge_shard(
 ) -> Callable[[pa.Table], pa.Table]:
     """Phase-2 map_groups body factory: one merge_key group (many terms) →
     final block rows.  Global stats (N, avgdl) are bound at build time —
-    available before this stage runs (SURVEY §2.5 A3/A4).
+    available before this stage runs (SURVEY §2.5 A3/A4)."""
 
-    The returned callable accepts ``block_id_base`` and ``df_lookup`` for
-    doc-range-bucketed merging: a bucket task sees only its range's runs, so
-    the term's GLOBAL df (for idf / block-max bounds) comes from the
-    broadcast lookup, and its block ids are offset so blocks stay globally
-    doc-ascending when sorted by block_id."""
-
-    def merge_shard_vectorized(
-        group: pa.Table, block_id_base: int, df_lookup, pos_enc=None
-    ) -> pa.Table:
+    def merge_shard_vectorized(group: pa.Table, pos_enc=None) -> pa.Table:
         """Vectorized merge: batch-decode every run in one codec pass, ONE
         global lexsort over (term, doc_id) for all postings, block
         aggregates via reduceat at block starts, segmented re-encode at
@@ -391,26 +359,12 @@ def make_merge_shard(
                 "path, commit) identity appears in more than one corpus file"
             )
 
-        # df / idf per term (global df from the lookup under range bucketing)
-        if df_lookup is not None:
-            dfs = np.array([int(df_lookup[t]) for t in uniq_terms], dtype=np.int64)
-        else:
-            dfs = seg_lens
+        # df / idf per term: a term's postings all sit in this group
+        dfs = seg_lens
         idfs = bm25_idf(dfs, n_docs)
 
         # blocks per term
         nb = (seg_lens + block_size - 1) // block_size
-        if len(nb) and int(nb.max()) >= (1 << 20):
-            # block ids pack as rb<<20 | within (int32): beyond 2^20 blocks
-            # per (term, bucket) they would collide across buckets and the
-            # query-side block_id sort would interleave docs out of order —
-            # fail loudly with the remedy instead
-            t_i = int(np.argmax(nb))
-            raise ValueError(
-                f"term {uniq_terms[t_i]!r} has {int(nb[t_i])} blocks in one "
-                "doc-range bucket (>= 2^20): raise doc_range_buckets or "
-                "block_size so per-bucket posting lists stay addressable"
-            )
         total_blocks = int(nb.sum())
         term_of_block = np.repeat(np.arange(len(uniq_terms)), nb)
         blk_within = np.arange(total_blocks) - np.repeat(
@@ -469,9 +423,7 @@ def make_merge_shard(
                 "term": pa.array(uniq_terms[term_of_block], pa.string()),
                 "shard": pa.array(shards[term_of_block], pa.int32()),
                 "df": pa.array(dfs[term_of_block], pa.int64()),
-                "block_id": pa.array(
-                    (block_id_base + blk_within).astype(np.int32), pa.int32()
-                ),
+                "block_id": pa.array(blk_within.astype(np.int32), pa.int32()),
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
                 "first_doc": pa.array(ids_all[blk_starts], pa.int64()),
                 "last_doc": pa.array(ids_all[blk_ends - 1], pa.int64()),
@@ -484,9 +436,7 @@ def make_merge_shard(
             schema=BLOCK_SCHEMA,
         )
 
-    def merge_shard(
-        group: pa.Table, block_id_base: int = 0, df_lookup=None
-    ) -> pa.Table:
+    def merge_shard(group: pa.Table) -> pa.Table:
         if group.num_rows == 0 or "term" not in group.column_names:
             return pa.table(
                 {f.name: pa.array([], f.type) for f in BLOCK_SCHEMA},
@@ -498,11 +448,9 @@ def make_merge_shard(
             else [b""] * group.num_rows
         )
         if not any(len(p) for p in pos_enc):
-            return merge_shard_vectorized(group, block_id_base, df_lookup)
+            return merge_shard_vectorized(group)
         if all(len(p) for p in pos_enc):
-            return merge_shard_vectorized(
-                group, block_id_base, df_lookup, pos_enc=pos_enc
-            )
+            return merge_shard_vectorized(group, pos_enc=pos_enc)
         # mixed positional/non-positional runs: a block whose position
         # payload covers only SOME postings would be silently mis-split by
         # the query side (positions are cut at cumsum(tf) boundaries), so

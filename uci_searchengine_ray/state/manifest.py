@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from . import storage
 
@@ -89,10 +89,22 @@ def stage_metrics(index_dir: str, stage: str) -> List[Dict[str, Any]]:
     ]
 
 
-def drop_stage(index_dir: str, stage: str) -> None:
-    """Remove all rows of one stage (rebuild mode) — rewrite via tmp."""
+def drop_stage(
+    index_dir: str, stage: str, partitions: Optional[Iterable[str]] = None
+) -> None:
+    """Remove the rows of one stage (rebuild mode) — or, with
+    ``partitions``, only that stage's rows for those partitions — in one
+    rewrite via tmp; every other row keeps its place and order."""
     fs, root = storage.resolve(index_dir)
-    keep = [r for r in read_rows(index_dir) if r.get("stage") != stage]
+    parts = None if partitions is None else {str(p) for p in partitions}
+    keep = [
+        r
+        for r in read_rows(index_dir)
+        if not (
+            r.get("stage") == stage
+            and (parts is None or str(r.get("partition")) in parts)
+        )
+    ]
     mdir = storage.join(root, "_manifest")
     if not storage.exists(fs, mdir):
         return

@@ -173,19 +173,19 @@ def _row_group_slices(table) -> list:
     return slices
 
 
-def parquet_rows(path: str) -> int:
+def parquet_rows(path: str, fs: pafs.FileSystem | None = None) -> int:
     """Row count of a parquet file or directory from FOOTER metadata only
-    (zero data read; recursive over nested/hive layouts)."""
+    (zero data read; recursive over nested/hive layouts).  ``path`` is a
+    path or URI, or an in-filesystem path when ``fs`` is given."""
     import pyarrow.parquet as pq
 
-    if os.path.isdir(path):
-        return sum(
-            pq.read_metadata(os.path.join(r, f)).num_rows
-            for r, _, files in os.walk(path)
-            for f in files
-            if f.endswith(".parquet")
-        )
-    return pq.read_metadata(path).num_rows
+    if fs is None:
+        fs, path = resolve(path)
+    if fs.get_file_info(path).type == pafs.FileType.Directory:
+        files = ls_files(fs, path, suffix=".parquet")
+    else:
+        files = [path]
+    return sum(pq.read_metadata(f, filesystem=fs).num_rows for f in files)
 
 
 def write_table_idempotent(fs: pafs.FileSystem, table, dir_path: str,
@@ -213,10 +213,9 @@ def write_table_idempotent(fs: pafs.FileSystem, table, dir_path: str,
     if is_local(fs):
         os.makedirs(dir_path, exist_ok=True)
         # per-writer unique tmp: two concurrent tasks may legitimately race
-        # to write the same idempotent name (e.g. a merge key's term_stats
-        # slice when its range buckets land in different batches) — a shared
-        # tmp path would interleave their bytes; whichever rename lands last
-        # wins with a complete file either way
+        # to write the same idempotent name (e.g. a retried task and its
+        # still-running original) — a shared tmp path would interleave their
+        # bytes; whichever rename lands last wins with a complete file
         tmp = join(dir_path, f".{name}.{os.getpid()}.{uuid.uuid4().hex[:8]}")
         _write(tmp)
         os.replace(tmp, final)
