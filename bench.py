@@ -249,47 +249,27 @@ def run_bench() -> dict:
     extras["query_p99_concurrent_ms"] = round(p99_r, 3)
     extras["query_concurrent_qps"] = round(qps_r, 1)
 
-    # ---- block-max WAND vs exhaustive TAAT on the synthetic code index ----
+    # ---- exact BM25 top-10 on the synthetic code index ----
     from uci_searchengine_ray.pipelines.search import (
         PostingsIndex,
         score_bm25_taat,
-        score_bm25_wand,
     )
 
     sc_index = PostingsIndex(sc_idx)
-    wand_queries = [
+    bm25_queries = [
         "parse json value error",
         "snake case name index",
         "get value stream block",
         "http server merge shard",
     ]
-    for scorer, key in ((score_bm25_taat, "bm25_taat_ms"), (score_bm25_wand, "bm25_wand_ms")):
-        for q in wand_queries:  # warm decode caches identically
-            scorer(sc_index, q, top_k=10)
-        t0 = time.perf_counter()
-        for _ in range(10):
-            for q in wand_queries:
-                scorer(sc_index, q, top_k=10)
-        extras[key] = round((time.perf_counter() - t0) * 1000 / (10 * len(wand_queries)), 3)
-    dec = tot = 0
-    for q in wand_queries:
-        s: dict = {}
-        score_bm25_wand(sc_index, q, top_k=10, stats=s)
-        dec += s.get("blocks_decoded", 0)
-        tot += s.get("blocks_total", 0)
-    extras["wand_blocks_decoded_frac_dense"] = round(dec / tot, 3) if tot else None
-
-    # selective queries (rare term + dense term, k < rare df) are where
-    # block-max skipping pays; report pruning fraction there too
-    rare_terms = [t for t in sc_index.terms() if t.isdigit() and sc_index.df(t) >= 8][:4]
-    dec = tot = 0
-    for t in rare_terms:
-        s = {}
-        score_bm25_wand(sc_index, f"{t} value", top_k=5, stats=s)
-        dec += s.get("blocks_decoded", 0)
-        tot += s.get("blocks_total", 0)
-    extras["wand_blocks_decoded_frac_selective"] = (
-        round(dec / tot, 3) if tot else None
+    for q in bm25_queries:  # warm the scored-postings cache
+        score_bm25_taat(sc_index, q, top_k=10)
+    t0 = time.perf_counter()
+    for _ in range(10):
+        for q in bm25_queries:
+            score_bm25_taat(sc_index, q, top_k=10)
+    extras["bm25_taat_ms"] = round(
+        (time.perf_counter() - t0) * 1000 / (10 * len(bm25_queries)), 3
     )
 
     # ---- operator sweep ----
@@ -632,96 +612,6 @@ def run_fs_bench() -> dict:
     }
 
 
-def run_wand_crossover() -> dict:
-    """WAND vs TAAT where block-max skipping is SUPPOSED to pay: long
-    posting lists with the payload cache cold or byte-budgeted below the
-    index size (VERDICT r2 next-round #7).  Reports per-query ms and the
-    decode fraction for warm-big / warm-small / cold runs on selective
-    queries (rare term + dense term, k « rare df)."""
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    import ray
-
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
-    from uci_searchengine_ray.config import configure_data_context
-
-    configure_data_context()
-    from uci_searchengine_ray.config import EngineConfig
-    from uci_searchengine_ray.pipelines.index_build import build_index
-    from uci_searchengine_ray.pipelines.search import (
-        PostingsIndex,
-        score_bm25_taat,
-        score_bm25_wand,
-    )
-    from uci_searchengine_ray.sources.corpus import write_synthetic_corpus
-
-    tmp = tempfile.mkdtemp(prefix="uciray_wandx_")
-    corpus = os.path.join(tmp, "sc")
-    write_synthetic_corpus(corpus, n_docs=60000, n_files=64, lines_scale=4)
-    idx = os.path.join(tmp, "idx")
-    build_index(corpus, idx, EngineConfig(mode="code", ckpt_groups=1),
-                mode="fresh")
-
-    probe = PostingsIndex(idx)
-    cands = sorted(t for t in probe.terms() if 16 <= probe.df(t) <= 256)
-    rare_terms = cands[:: max(1, len(cands) // 8)][:8]
-    queries = [f"{t} value index" for t in rare_terms]
-    total_payload = None
-    out: dict = {"n_docs": 60000, "num_cpus": num_cpus,
-                 "queries": len(queries)}
-
-    def bench_pass(tag: str, budget: int, cold: bool) -> None:
-        res = {}
-        for fn, key in ((score_bm25_taat, "taat"), (score_bm25_wand, "wand")):
-            times = []
-            dec = tot = 0
-            if cold:
-                for q in queries:
-                    ix = PostingsIndex(idx, payload_budget_bytes=budget)
-                    s: dict = {}
-                    t0 = time.perf_counter()
-                    if fn is score_bm25_wand:
-                        fn(ix, q, top_k=10, stats=s)
-                    else:
-                        fn(ix, q, top_k=10)
-                    times.append((time.perf_counter() - t0) * 1000)
-                    dec += s.get("blocks_decoded", 0)
-                    tot += s.get("blocks_total", 0)
-            else:
-                ix = PostingsIndex(idx, payload_budget_bytes=budget)
-                for q in queries:  # warm pass
-                    fn(ix, q, top_k=10)
-                for _ in range(5):
-                    for q in queries:
-                        t0 = time.perf_counter()
-                        fn(ix, q, top_k=10)
-                        times.append((time.perf_counter() - t0) * 1000)
-                for q in queries:
-                    s = {}
-                    if fn is score_bm25_wand:
-                        fn(ix, q, top_k=10, stats=s)
-                        dec += s.get("blocks_decoded", 0)
-                        tot += s.get("blocks_total", 0)
-            import numpy as np
-
-            res[key] = round(float(np.mean(times)), 3)
-            if fn is score_bm25_wand and tot:
-                res["wand_decode_frac"] = round(dec / tot, 3)
-        res["wand_over_taat"] = round(res["wand"] / res["taat"], 3)
-        out[tag] = res
-
-    big = 256 << 20
-    small = 2 << 20
-    bench_pass("warm_big_budget", big, cold=False)
-    bench_pass("warm_small_budget", small, cold=False)
-    bench_pass("cold", big, cold=True)
-    full = PostingsIndex(idx, preload=True)
-    out["index_payload_mb"] = round(full._payload_bytes / 2**20, 2)
-    shutil.rmtree(tmp, ignore_errors=True)
-    ray.shutdown()
-    return out
-
-
 def run_curation_scale() -> dict:
     """The LLM-curation family on a ~10× larger deterministic documents
     table (default 60k docs × ~120 tokens vs sf0.1's 5k) — evidence the
@@ -794,8 +684,6 @@ if __name__ == "__main__":
         print(json.dumps(run_index_only()))
     elif "--fs-bench" in sys.argv:
         print(json.dumps(run_fs_bench()))
-    elif "--wand-crossover" in sys.argv:
-        print(json.dumps(run_wand_crossover()))
     else:
         result = run_bench()
         print(json.dumps(result))

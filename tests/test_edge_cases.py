@@ -69,6 +69,32 @@ def test_empty_corpus_file(ray_session, tmp_path):
     assert DocStore(snap).fetch([1, 2, 3]) == {}
 
 
+def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
+    """Fault injection: a doc_meta file rewritten without one row leaves
+    postings for a doc id the snapshot's doc list lacks.  A BM25 query on a
+    term of that doc raises naming the term, instead of scoring the
+    postings onto a neighbouring doc."""
+    import glob
+
+    from uci_searchengine_ray.pipelines.search import score_bm25_wand
+
+    corpus = _write(tmp_path, ["alpha shared", "beta shared", "gamma shared"])
+    snap = str(tmp_path / "i")
+    build_index(corpus, snap, CFG, mode="fresh")
+    path = sorted(glob.glob(f"{snap}/doc_meta/**/*.parquet", recursive=True))[0]
+    meta = pq.read_table(path)
+    victim = meta["doc_id"][0].as_py()
+    pq.write_table(meta.slice(1), path)
+    term = next(
+        t for t in ("alpha", "beta", "gamma")
+        if victim in PostingsIndex(snap).postings(t)[0].tolist()
+    )
+    with pytest.raises(ValueError, match=f"term '{term}'.*{victim}"):
+        score_bm25_taat(PostingsIndex(snap), f"{term} shared")
+    with pytest.raises(ValueError, match="doc_meta"):
+        score_bm25_wand(PostingsIndex(snap), "shared", top_k=1)
+
+
 def test_all_unindexable_corpus(ray_session, tmp_path):
     """Docs exist but none tokenize: N counts them, index is empty."""
     corpus = _write(tmp_path, ["", "!!! ...", "   "])
@@ -241,7 +267,7 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     before the explicit within-term validation this exact layout (merged
     postings [0..127, 127, 129] with block_size=128: positions 127/128
     straddle the boundary) was silently accepted — emitting blocks with
-    last_doc(i) == first_doc(i+1) that break WAND/TAAT bit-identity."""
+    last_doc(i) == first_doc(i+1), a doc the scorer would count twice."""
     import pyarrow as pa
     import pytest
 

@@ -4,8 +4,10 @@ with no effect on results."""
 
 import numpy as np
 import pytest
+from bm25_reference import score_bm25_reference
 
 from uci_searchengine_ray.config import EngineConfig
+from uci_searchengine_ray.functions.tokenizer import TOKENIZERS
 from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.pipelines.search import (
     PostingsIndex,
@@ -62,5 +64,14 @@ def test_tiny_budget_evicts_but_stays_correct(idx):
         ia, ca = score_bm25_wand(small, q, top_k=10)
         ib, cb = score_bm25_wand(ref, q, top_k=10)
         assert np.array_equal(ia, ib) and np.array_equal(ca, cb)
+        ic, cc = score_bm25_reference(ref, q, top_k=10)
+        assert np.array_equal(ia, ic) and np.array_equal(ca, cc)
+        # the scored-postings cache obeys the byte budget, except that it
+        # never evicts the lists of the query being scored
+        terms = sorted(set(TOKENIZERS["code"](q)) & set(small.terms()))
+        this_query = sum(o.nbytes + c.nbytes
+                         for o, c in small.bm25_postings(terms))
+        assert small._scored_bytes <= max(1, this_query)
+        assert set(small._scored) == set(terms)
     # the 1-byte budget keeps only the most recent query's terms resident
     assert len(small._payloads) <= len("return value".split()) + 1

@@ -1,9 +1,10 @@
 """Conformance: engine reference mode vs pure-Python oracle (rank-identical,
-scores rtol 1e-9, snippets string-equal) + BM25 TAAT≡WAND + actor-pool path
-(SURVEY.md §5 item 2, FIXTURES.md §4)."""
+scores rtol 1e-9, snippets string-equal) + BM25 scorers ≡ the reference BM25
++ actor-pool path (SURVEY.md §5 item 2, FIXTURES.md §4)."""
 
 import numpy as np
 import pytest
+from bm25_reference import assert_bit_identical, score_bm25_reference
 
 from uci_searchengine_ray.functions.hashing import stable_doc_id
 from uci_searchengine_ray.oracle import OracleIndex
@@ -79,11 +80,11 @@ def test_pagination_and_snippets(built_index, oracle, page, per_page):
 @pytest.mark.parametrize("query", [q for q in GOLDEN_QUERIES if q.strip()])
 @pytest.mark.parametrize("k", [1, 5, 50])
 def test_wand_equals_taat(index, query, k):
-    """Block-max WAND top-k ≡ exhaustive TAAT top-k (ids AND scores)."""
-    t_ids, t_scores = score_bm25_taat(index, query, top_k=k)
-    w_ids, w_scores = score_bm25_wand(index, query, top_k=k)
-    assert list(w_ids) == list(t_ids)
-    np.testing.assert_allclose(w_scores, t_scores, rtol=1e-12)
+    """bm25_wand top-k ≡ TAAT top-k ≡ the reference BM25's top-k, ids and
+    scores bit for bit."""
+    want = score_bm25_reference(index, query, top_k=k)
+    assert_bit_identical(score_bm25_taat(index, query, top_k=k), want, query)
+    assert_bit_identical(score_bm25_wand(index, query, top_k=k), want, query)
 
 
 def test_bm25_scores_positive_and_sorted(index):

@@ -265,10 +265,10 @@ def _f32_upper(x: np.ndarray) -> np.ndarray:
     """float32 value that is a SAFE upper bound of the float64 input.
 
     A plain ``.astype(np.float32)`` rounds to nearest and can land BELOW
-    the true maximum; WAND prunes on strict ``bound < theta`` with exact
-    float64 doc scores, so a rounded-down bound could skip a window holding
-    a true top-k doc (breaking WAND↔TAAT bit-identity on ulp-tie corpora).
-    Bump every rounded-down value to the next float32 toward +inf."""
+    the true maximum; a pruning scorer that skips blocks on strict
+    ``bound < theta`` against exact float64 doc scores would then skip a
+    block holding a true top-k doc.  Bump every rounded-down value to the
+    next float32 toward +inf."""
     f32 = x.astype(np.float32)
     low = f32.astype(np.float64) < x
     if low.any():
@@ -340,9 +340,7 @@ def make_merge_shard(
         # the encoder: delta_encode_segments resets its ascending check at
         # every block start, so a duplicate landing exactly on a block
         # boundary would be silently accepted (emitting last_doc(i) ==
-        # first_doc(i+1), where TAAT double-counts the doc but WAND's
-        # window→block map adds one copy — breaking their bit-identity on
-        # precisely the corrupt input this is meant to reject).  After the
+        # first_doc(i+1), which the scorer would count twice).  After the
         # lexsort ids are ascending within each term, so any adjacent equal
         # pair with equal term rank is a duplicate; the term-rank mask also
         # keeps a legitimate cross-term coincidence (last doc of term A ==
