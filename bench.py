@@ -617,6 +617,8 @@ def run_curation_scale() -> dict:
     table (default 60k docs × ~120 tokens vs sf0.1's 5k) — evidence the
     new operators' shapes hold as the docs table grows, not just at the
     driver SF.  Corpus is cached across runs (generation is deterministic).
+    ``boilerplate_lines`` runs at ``min_docs=2``; the ``strip_dup_spans``
+    spool and the ``export_pretraining`` output go to a per-run temp dir.
     """
     import ray
 
@@ -655,7 +657,18 @@ def run_curation_scale() -> dict:
         res[name] = round(time.perf_counter() - t0, 3)
         return out
 
+    tmp = tempfile.mkdtemp(prefix="uciray_curation_run_")
     timed("curate", lambda: curation.curate(sf_dir).count())
+    timed(
+        "boilerplate_lines",
+        lambda: cleaning.boilerplate_lines(sf_dir, min_docs=2).count(),
+    )
+    timed(
+        "strip_dup_spans",
+        lambda: cleaning.strip_dup_spans(
+            sf_dir, spool_dir=os.path.join(tmp, "spool")
+        ).count(),
+    )
     timed("decontaminate", lambda: cleaning.decontaminate(sf_dir).count())
     timed("dedup_minhash", lambda: dedup_sim.minhash_lsh_pairs(sf_dir).count())
     timed("dedup_simhash", lambda: dedup_sim.simhash_pairs(sf_dir).count())
@@ -669,6 +682,11 @@ def run_curation_scale() -> dict:
     timed("token_budget_mix", lambda: sampling.token_budget_mix(sf_dir).count())
     timed("pack_sequences", lambda: sampling.pack_sequences(sf_dir).count())
     timed("export_shards", lambda: export.export_shards_summary(sf_dir).count())
+    timed(
+        "export_pretraining",
+        lambda: export.export_pretraining(sf_dir, os.path.join(tmp, "export")),
+    )
+    shutil.rmtree(tmp, ignore_errors=True)
     res["curate_docs_per_sec"] = round(n_docs / res["curate"], 1)
     res["pack_docs_per_sec"] = round(n_docs / res["pack_sequences"], 1)
     ray.shutdown()

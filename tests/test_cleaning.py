@@ -423,3 +423,31 @@ def test_eval_gram_broadcast_size_gate(ray_session, tmp_path):
     assert len(g) > 0
     g2 = cleaning.collect_eval_grams(str(d))
     assert len(g2) > 0
+
+
+def test_decontaminate_against_uri_eval_path(ray_session, tmp_path):
+    """The eval-gram size gate sizes a ``file://`` URI (recursively, for a
+    nested directory) the way ``read_parquet`` reads it: the URI run flags
+    the same docs as the plain-path run, and the gate still trips on it."""
+    from uci_searchengine_ray.pipelines import cleaning
+
+    sf = "/root/testdata/sf0.001"
+    docs = pq.read_table(os.path.join(sf, "documents.parquet"))
+    ev = tmp_path / "ev" / "part=0"
+    ev.mkdir(parents=True)
+    ids = docs["doc_id"].to_numpy()
+    pq.write_table(
+        docs.select(["text"]).filter(pa.array(ids % 7 == 0)),
+        str(ev / "a.parquet"),
+    )
+    ev_dir = str(tmp_path / "ev")
+
+    def run(path):
+        out = cleaning.decontaminate_against(sf, path).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    plain = run(ev_dir)
+    assert plain["contaminated"].any() and not plain["contaminated"].all()
+    pd.testing.assert_frame_equal(run("file://" + ev_dir), plain)
+    with pytest.raises(RuntimeError, match="broadcast budget"):
+        cleaning.collect_eval_grams_from("file://" + ev_dir, max_bytes=1)

@@ -12,8 +12,15 @@ Scale notes (100 TB):
   (never line text), pre-deduped per document map-side, and broadcasts the
   resulting boilerplate set (lines appearing in ≥ ``min_docs`` docs — the
   naturally small high-df head; at scale raise ``min_docs`` to a corpus
-  fraction to keep it bounded) via ``ray.put`` into an actor pool.  The
+  fraction to keep it bounded) with one ``ray.put``.  The
   2⁻⁶¹-collision caveat is the same trade the shingle pipelines make.
+- Every per-batch stage runs as stateless Ray Data TASKS (a picklable
+  callable instance, as ``index_build``'s ``TokenizeEncodeRuns``), never an
+  actor pool: a stage holds at most a path or a broadcast object ref and
+  calls ``ray.get`` per batch (numpy comes back zero-copy from the object
+  store).  Tasks fuse with the ReadParquet scan, so these operators run on
+  a 1-CPU cluster, where a pool would hold the only slot and starve the
+  read.
 - ``repetition_stats`` and ``pii_redact`` are embarrassingly parallel
   single-pass ``map_batches`` stages: no shuffle, regexes compiled once at
   module import, output is a fixed-width projection (plus the redacted text
@@ -85,13 +92,21 @@ def _distinct_line_hashes_batch(batch: pa.Table) -> pa.Table:
     return pa.table({"lh": pa.array(np.concatenate(out).astype(np.int64))})
 
 
+def _column(ds: "ray.data.Dataset", col: str) -> np.ndarray:
+    """One numeric column of ``ds`` gathered on the driver as Arrow blocks
+    (no per-row dicts); empty when every block is."""
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if not tables:
+        return np.empty(0, dtype=np.int64)
+    return pa.concat_tables(tables)[col].to_numpy()
+
+
 class _StripBoilerplate:
-    """Actor-pool pass 2: drop lines whose hash is in the broadcast
-    boilerplate set (``ray.put`` once, ``ray.get`` once per actor)."""
+    """Pass 2: drop lines whose hash is in the broadcast sorted boilerplate
+    set, held as an object ref and fetched per batch."""
 
     def __init__(self, boiler_ref):
-        arr = ray.get(boiler_ref) if not isinstance(boiler_ref, np.ndarray) else boiler_ref
-        self.boiler = np.sort(np.asarray(arr, dtype=np.uint64))
+        self.boiler_ref = boiler_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = [t or "" for t in batch["text"].to_pylist()]
@@ -103,7 +118,7 @@ class _StripBoilerplate:
             h = _line_hashes(flat)
             blank = np.fromiter((ln == "" for ln in flat), dtype=bool,
                                 count=len(flat))
-            drop = np.isin(h, self.boiler) & ~blank
+            drop = np.isin(h, ray.get(self.boiler_ref)) & ~blank
         else:
             drop = np.empty(0, dtype=bool)
         clean, n_removed = [], []
@@ -188,13 +203,9 @@ def boilerplate_lines(
             "would materialize it on the driver and every worker. Raise "
             "min_docs, or pass min_frac to derive it from the corpus size."
         )
-    boiler_tbl = boiler_ds.take_all()
-    boiler = np.asarray([r["lh"] for r in boiler_tbl], dtype=np.uint64)
-    ref = ray.put(boiler)
+    boiler = np.sort(_column(boiler_ds, "lh").astype(np.uint64))
     return ds.map_batches(
-        _StripBoilerplate,
-        fn_constructor_args=(ref,),
-        concurrency=(1, 8),
+        _StripBoilerplate(ray.put(boiler)),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -327,17 +338,20 @@ def _eval_gram_size_gate(path: str, divisor: float, max_bytes: int) -> None:
     × decode inflation must fit ``max_bytes``.  The error names the
     scale-safe alternative (hash-partition grams both sides + flag-union —
     the near_dedup_keep shape) instead of silently materializing the gram
-    set on the driver and every worker."""
-    if os.path.isdir(path):
-        # recursive: partitioned/hive layouts nest their part files, and a
-        # non-recursive sum would read ~0 bytes and wave the gate through
-        on_disk = sum(
-            os.path.getsize(os.path.join(r, f))
-            for r, _, files in os.walk(path)
-            for f in files
-        )
-    else:
-        on_disk = os.path.getsize(path)
+    set on the driver and every worker.  ``path`` may be a path or any URI
+    ``state.storage.resolve`` knows (``file://``, ``s3://``, ...)."""
+    from pyarrow.fs import FileType
+
+    from ..state.storage import ls_files, resolve
+
+    fs, p = resolve(path)
+    info = fs.get_file_info(p)
+    if info.type == FileType.NotFound:
+        raise FileNotFoundError(path)
+    # recursive: partitioned/hive layouts nest their part files, and a
+    # non-recursive sum would read ~0 bytes and wave the gate through
+    files = ls_files(fs, p) if info.type == FileType.Directory else [p]
+    on_disk = sum(f.size for f in fs.get_file_info(files))
     est = on_disk * _EVAL_PARQUET_INFLATION / max(divisor, 1.0)
     if est > max_bytes:
         raise RuntimeError(
@@ -372,12 +386,8 @@ def _collect_grams(
         )
         return pa.table({"gh": pa.array(flat.astype(np.int64))})
 
-    rows = ds.map_batches(
-        grams, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    return np.unique(
-        np.asarray([r["gh"] for r in rows], dtype=np.int64).astype(np.uint64)
-    )
+    ds = ds.map_batches(grams, batch_format="pyarrow", zero_copy_batch=True)
+    return np.unique(_column(ds, "gh").astype(np.uint64))
 
 
 def collect_eval_grams(
@@ -419,11 +429,12 @@ def collect_eval_grams_from(
 
 class _GramCheck:
     """Membership pass of decontamination: per-doc distinct shared-gram
-    counts against the broadcast eval-gram set (``ray.get`` once per
-    actor).  With ``eval_mod`` the eval split's own rows are dropped."""
+    counts against the broadcast eval-gram set, held as an object ref and
+    fetched per batch.  With ``eval_mod`` the eval split's own rows are
+    dropped."""
 
     def __init__(self, eval_ref, n: int, eval_mod: int | None):
-        self.ev = ray.get(eval_ref)
+        self.eval_ref = eval_ref
         self.n = n
         self.eval_mod = eval_mod
 
@@ -431,9 +442,8 @@ class _GramCheck:
         if self.eval_mod is not None:
             ids = batch["doc_id"].to_numpy(zero_copy_only=False)
             batch = batch.filter(pa.array(ids % self.eval_mod != 0))
-        shared = shared_gram_counts(
-            [t or "" for t in batch["text"].to_pylist()], self.ev, self.n
-        )
+        texts = [t or "" for t in batch["text"].to_pylist()]
+        shared = shared_gram_counts(texts, ray.get(self.eval_ref), self.n)
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -447,9 +457,7 @@ def _flag_shared_grams(
     sf_dir: str, eval_grams: np.ndarray, n: int, eval_mod: int | None
 ) -> "ray.data.Dataset":
     return _documents(sf_dir).map_batches(
-        _GramCheck,
-        fn_constructor_args=(ray.put(eval_grams), n, eval_mod),
-        concurrency=(1, 8),
+        _GramCheck(ray.put(eval_grams), n, eval_mod),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -748,7 +756,8 @@ def dup_span_intervals(
 class _StripScan:
     """Strip pass of ``strip_dup_spans``: per batch, one pruned read of the
     doc_id-sorted interval spool (``state/spool.py``), then a
-    difference-array cumsum marks covered tokens."""
+    difference-array cumsum marks covered tokens.  Its only state is the
+    spool path."""
 
     def __init__(self, spool_dir: str):
         self.spool = spool_dir
@@ -857,9 +866,7 @@ def strip_dup_spans(
         _INTERVAL_SCHEMA,
     )
     return _documents(sf_dir).map_batches(
-        _StripScan,
-        fn_constructor_args=(spool_dir,),
-        concurrency=(1, 8),
+        _StripScan(spool_dir),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )

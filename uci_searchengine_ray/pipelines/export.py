@@ -14,9 +14,10 @@ Ray-Data-first shape:
 - the text join-back for the WRITE path avoids both a text shuffle and a
   driver-side id set: the keep-list is written as a doc_id-sorted spool
   (``state/spool.py``, the same format as ``strip_dup_spans``' interval
-  spool), and an actor-pool pass over ``documents`` does ONE
-  row-group-pruned read per batch (``doc_id ∈ [batch_min, batch_max]``)
-  for membership;
+  spool), and a task pass over ``documents`` does ONE row-group-pruned
+  read per batch (``doc_id ∈ [batch_min, batch_max]``) for membership;
+- every per-batch stage runs as stateless Ray Data tasks, not an actor
+  pool: it holds only a path or the broadcast object ref;
 - output is partitioned ``shard=K/`` parquet, so a failed export rerun can
   skip finished shards; ``out_dir`` carries an ownership marker, so an
   export never clears a directory it did not write.
@@ -77,26 +78,18 @@ def keep_list(
 
     ref = ray.put(collect_eval_grams(sf_dir))
 
-    class _FusedFilter:
-        def __init__(self, eval_ref):
-            self.ev = ray.get(eval_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            proj, keep = curate_filter_batch(batch)
-            ids = proj["doc_id"].to_numpy(zero_copy_only=False)
-            is_eval = ids % DECON_EVAL_MOD == 0
-            texts = [
-                t or ""
-                for t, k in zip(batch["text"].to_pylist(), keep)
-                if k
-            ]
-            train_texts = [t for t, e in zip(texts, is_eval) if not e]
-            shared = shared_gram_counts(train_texts, self.ev, DECON_NGRAM)
-            bad = np.zeros(len(ids), dtype=bool)
-            bad[~is_eval] = shared > 0
-            return proj.append_column(
-                "drop", pa.array(is_eval | bad)
-            )
+    def fused_filter(batch: pa.Table) -> pa.Table:
+        proj, keep = curate_filter_batch(batch)
+        ids = proj["doc_id"].to_numpy(zero_copy_only=False)
+        is_eval = ids % DECON_EVAL_MOD == 0
+        texts = [
+            t or "" for t, k in zip(batch["text"].to_pylist(), keep) if k
+        ]
+        train_texts = [t for t, e in zip(texts, is_eval) if not e]
+        shared = shared_gram_counts(train_texts, ray.get(ref), DECON_NGRAM)
+        bad = np.zeros(len(ids), dtype=bool)
+        bad[~is_eval] = shared > 0
+        return proj.append_column("drop", pa.array(is_eval | bad))
 
     def keep_first(group: pa.Table) -> pa.Table:
         """Per sha-bucket: min-doc_id winner per distinct content, ONE
@@ -135,11 +128,7 @@ def keep_list(
     )
     return (
         docs.map_batches(
-            _FusedFilter,
-            fn_constructor_args=(ref,),
-            concurrency=(1, 8),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+            fused_filter, batch_format="pyarrow", zero_copy_batch=True
         )
         .map_batches(
             lambda t: _add_hex_key_bucket(t, "content_sha256", 64),
@@ -256,9 +245,7 @@ def export_pretraining(
             os.path.join(sf_dir, "documents.parquet")
         )
         joined = docs.map_batches(
-            _TextJoin,
-            fn_constructor_args=(kl_dir, frozenset(done_shards)),
-            concurrency=(1, 8),
+            _TextJoin(kl_dir, frozenset(done_shards)),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
