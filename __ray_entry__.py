@@ -82,10 +82,9 @@ def _index_for(sf_dir: str, mode: str) -> str:
         tag = hashlib.md5(repr(key).encode(), usedforsecurity=False).hexdigest()[:10]
         out = os.path.join(tempfile.gettempdir(), "uciray_indexes", tag)
         if mode == "reference_pos":
-            cfg = EngineConfig(mode="reference", ckpt_groups=1,
-                               store_positions=True)
+            cfg = EngineConfig(mode="reference", store_positions=True)
         else:
-            cfg = EngineConfig(mode=mode, ckpt_groups=1)
+            cfg = EngineConfig(mode=mode)
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
             out,

@@ -405,7 +405,7 @@ def run_index_only() -> dict:
     t0 = time.perf_counter()
     build_index(
         SCALING_CORPUS, os.path.join(out, "idx"),
-        EngineConfig(mode="code", ckpt_groups=1, num_merge_groups=128),
+        EngineConfig(mode="code", ckpt_groups=1),
         mode="fresh",
     )
     sec = round(time.perf_counter() - t0, 3)

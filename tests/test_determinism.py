@@ -43,7 +43,7 @@ def test_index_invariant_to_execution_granularity(
     ray_session, synthetic_corpus_dir, tmp_path, variant
 ):
     base_cfg = dict(mode="reference", block_size=32, num_shards=4,
-                    num_merge_groups=8, store_positions=True)
+                    store_positions=True)
     ref = str(tmp_path / "ref")
     build_index(synthetic_corpus_dir, ref,
                 EngineConfig(**base_cfg, tokenize_batch_size=256, ckpt_groups=2),

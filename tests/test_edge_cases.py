@@ -14,8 +14,7 @@ from uci_searchengine_ray.pipelines.search import (
     search_one,
 )
 
-CFG = EngineConfig(ckpt_groups=1, num_shards=2, num_merge_groups=4,
-                   tokenize_batch_size=4)
+CFG = EngineConfig(ckpt_groups=1, num_shards=2, tokenize_batch_size=4)
 
 
 def _write(tmp_path, contents):
@@ -111,8 +110,7 @@ def test_store_content_false(ray_session, tmp_path):
 
     corpus = _write(tmp_path, ["alpha beta gamma", "beta gamma delta", "x y"])
     snap = str(tmp_path / "inc")
-    cfg = EngineConfig(ckpt_groups=1, num_shards=2, num_merge_groups=4,
-                       store_content=False)
+    cfg = EngineConfig(ckpt_groups=1, num_shards=2, store_content=False)
     build_index(corpus, snap, cfg, mode="fresh")
     idx = PostingsIndex(snap)
     ids, scores = score_reference(idx, "alpha")
@@ -185,18 +183,18 @@ def test_config_drift_rejected_on_continue(ray_session, tmp_path):
 
     corpus = write_synthetic_corpus(str(tmp_path / "c"), n_docs=60, n_files=2)
     idx = str(tmp_path / "i")
-    build_index(corpus, idx, EngineConfig(mode="reference", num_merge_groups=4),
+    build_index(corpus, idx, EngineConfig(mode="reference"),
                 mode="fresh")
     with pytest.raises(ValueError, match="config drift"):
         build_index(
             corpus, idx,
-            EngineConfig(mode="reference", num_merge_groups=4,
+            EngineConfig(mode="reference",
                          store_positions=True),
             mode="continue",
         )
     with pytest.raises(ValueError, match="config drift"):
         build_index(corpus, idx,
-                    EngineConfig(mode="code", num_merge_groups=4),
+                    EngineConfig(mode="code"),
                     mode="rebuild")
 
 
@@ -266,16 +264,15 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     delta_encode_segments resets its ascending check at block starts, so
     before the explicit within-term validation this exact layout (merged
     postings [0..127, 127, 129] with block_size=128: positions 127/128
-    straddle the boundary) was silently accepted — emitting blocks with
-    last_doc(i) == first_doc(i+1), a doc the scorer would count twice."""
+    straddle the boundary) was silently accepted — emitting two blocks that
+    both hold doc 127, a doc the scorer would count twice."""
     import pyarrow as pa
     import pytest
 
+    from uci_searchengine_ray.functions import codecs
     from uci_searchengine_ray.stages.postings import RUN_SCHEMA, make_merge_shard
 
-    merge = make_merge_shard(
-        n_docs=200, avgdl=1.0, block_size=128, num_shards=1, k1=1.2, b=0.75
-    )
+    merge = make_merge_shard(block_size=128, num_shards=1)
     rows = [
         _merge_run("t", list(range(128))),          # docs 0..127
         _merge_run("t", [127, 129]),                # 127 again → boundary dup
@@ -290,5 +287,6 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     ]
     out = merge(pa.Table.from_pylist(rows_ok, schema=RUN_SCHEMA))
     assert out.num_rows == 2
-    assert out["first_doc"].to_pylist() == [0, 128]
-    assert out["last_doc"].to_pylist() == [127, 129]
+    assert [codecs.decode_ids(b).tolist() for b in out["doc_ids"].to_pylist()] == [
+        list(range(128)), [128, 129]
+    ]

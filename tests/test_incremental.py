@@ -14,8 +14,7 @@ from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.sources.corpus import synthetic_corpus_table
 from uci_searchengine_ray.state import manifest
 
-CFG = EngineConfig(mode="reference", block_size=16, num_shards=4,
-                   num_merge_groups=8, ckpt_groups=4)
+CFG = EngineConfig(mode="reference", block_size=16, num_shards=4, ckpt_groups=4)
 
 
 def _write_files(out_dir, n_files, docs_per_file):
@@ -131,3 +130,58 @@ def test_shrunk_corpus_drops_stale_groups(ray_session, tmp_path):
     build_index(corpus, fresh, CFG, mode="fresh")
     assert _digest(idx) == _digest(fresh)
     assert load_stats(fresh) == st
+
+
+def test_plan_sizes_groups_and_keys_from_corpus():
+    from uci_searchengine_ray.pipelines.index_build import plan_build
+
+    assert plan_build(8_000, 4) == (1, 64)
+    assert plan_build(1_000_000, 32)[0] == 3
+    assert plan_build(10_000_000, 32) == (4, 611)
+    assert plan_build(0, 4) == (1, 64)
+
+
+def test_grown_corpus_keeps_pinned_counts(ray_session, tmp_path, monkeypatch):
+    """With ckpt_groups=None, continue adopts the group and key counts
+    pinned by the first build, even when the grown corpus would plan
+    others: unchanged groups are not rebuilt, the run key layout stays
+    mergeable, and the index equals a fresh build."""
+    import json
+
+    from uci_searchengine_ray.pipelines import index_build
+
+    corpus = str(tmp_path / "corpus")
+    _write_files(corpus, n_files=6, docs_per_file=40)
+    inc = str(tmp_path / "inc")
+    monkeypatch.setattr(index_build, "plan_build", lambda rows, ncpu: (3, 64))
+    derived = EngineConfig(mode="reference", block_size=16, num_shards=4)
+    build_index(corpus, inc, derived, mode="fresh")
+    rows_before = {
+        str(r["partition"]): r for r in manifest.stage_metrics(inc, "runs")
+    }
+    assert len(rows_before) == 3
+
+    # the grown corpus plans other counts, as one past 1M docs would
+    _write_files(corpus, n_files=8, docs_per_file=40)
+    monkeypatch.setattr(index_build, "plan_build", lambda rows, ncpu: (1, 100))
+    build_index(corpus, inc, derived, mode="continue")
+
+    with open(os.path.join(inc, "build_config.json")) as f:
+        pinned = json.load(f)
+    assert (pinned["ckpt_groups"], pinned["num_merge_groups"]) == (3, 64)
+    assert index_build.load_stats(inc)["num_merge_groups"] == 64
+    rows_after = {
+        str(r["partition"]): r for r in manifest.stage_metrics(inc, "runs")
+    }
+    assert set(rows_after) == set(rows_before)
+    assert any(rows_after[p] == rows_before[p] for p in rows_before)
+    keys = {
+        int(os.path.basename(d).split("=")[1])
+        for d in glob.glob(os.path.join(inc, "runs", "*", "merge_key=*"))
+    }
+    assert keys and max(keys) < 64
+
+    fresh = str(tmp_path / "fresh")
+    build_index(corpus, fresh, derived, mode="fresh")
+    assert _digest(inc) == _digest(fresh)
+    assert index_build.load_stats(inc)["n_docs"] == 8 * 40

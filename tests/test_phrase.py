@@ -23,7 +23,7 @@ def pos_index(ray_session, tmp_path_factory):
     build_index(
         corpus, snap,
         EngineConfig(mode="reference", block_size=16, num_shards=4,
-                     num_merge_groups=8, ckpt_groups=2, store_positions=True),
+                     ckpt_groups=2, store_positions=True),
         mode="fresh",
     )
     return PostingsIndex(snap)
@@ -75,7 +75,7 @@ def test_phrase_golden(ray_session, tmp_path):
     build_index(
         str(tmp_path / "c"), snap,
         EngineConfig(mode="reference", ckpt_groups=1, num_shards=2,
-                     num_merge_groups=4, block_size=2, store_positions=True),
+                     block_size=2, store_positions=True),
         mode="fresh",
     )
     idx = PostingsIndex(snap)

@@ -63,7 +63,7 @@ def test_random_corpus_rank_identical(ray_session, tmp_path, seed):
     build_index(
         str(cdir), snap,
         EngineConfig(mode="reference", block_size=rng.choice([2, 3, 8]),
-                     num_shards=rng.choice([1, 3]), num_merge_groups=4,
+                     num_shards=rng.choice([1, 3]),
                      ckpt_groups=1),
         mode="fresh",
     )

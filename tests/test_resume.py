@@ -5,6 +5,11 @@ import glob
 import hashlib
 import json
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -12,8 +17,38 @@ from uci_searchengine_ray.config import EngineConfig
 from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.state import manifest
 
-CFG = EngineConfig(mode="reference", block_size=16, num_shards=4, num_merge_groups=8,
-                   ckpt_groups=4)
+CFG = EngineConfig(mode="reference", block_size=16, num_shards=4, ckpt_groups=4)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tables(path: str) -> dict:
+    """postings, term_stats and doc_meta of a snapshot as canonically
+    sorted tables (row order and file layout are not part of the index)."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pa_ds
+
+    out = {}
+    for sub, keys in (("postings", ["term", "block_id"]), ("term_stats", ["term"]),
+                      ("doc_meta", ["doc_id"])):
+        tbl = pa_ds.dataset(
+            os.path.join(path, sub), format="parquet",
+            partitioning="hive" if sub == "postings" else None,
+        ).to_table()
+        idx = pc.sort_indices(tbl, sort_keys=[(k, "ascending") for k in keys])
+        out[sub] = tbl.take(idx).select(sorted(tbl.column_names)).combine_chunks()
+    return out
+
+
+def _assert_same_index(got: str, want: str) -> None:
+    a, b = _tables(got), _tables(want)
+    for sub in a:
+        assert a[sub].equals(b[sub]), sub
+    from uci_searchengine_ray.pipelines.index_build import load_stats
+
+    sa, sb = load_stats(got), load_stats(want)
+    assert [sa[k] for k in ("n_docs", "avgdl", "n_terms")] == [
+        sb[k] for k in ("n_docs", "avgdl", "n_terms")
+    ]
 
 
 def _dir_digest(path: str) -> dict:
@@ -70,7 +105,6 @@ def test_resume_identical_to_uninterrupted(ray_session, corpus, tmp_path_factory
     for r in rows:
         if r["partition"] in survivors:
             manifest.append_row(part, r)
-    import shutil
     for r in rows:
         if r["partition"] not in survivors:
             shutil.rmtree(os.path.join(part, "runs", r["partition"]))
@@ -130,3 +164,109 @@ def test_rebuild_merges_runs_in_older_nested_layout(
         json.dump(pinned, fh)
     build_index(corpus, snap, CFG, mode="rebuild")
     assert _dir_digest(snap) == d1
+
+
+def test_continue_ignores_crashed_group_dirs(ray_session, corpus, tmp_path_factory):
+    """A group that crashed mid-write leaves staged ``.tmp`` dirs (local
+    filesystems) without a manifest row.  ``continue`` — here with a
+    different group count, which re-homes every doc — must neither merge
+    those runs nor serve those doc_meta rows: the result equals a fresh
+    build and no orphan dir survives."""
+    base = tmp_path_factory.mktemp("orphan")
+    snap = str(base / "s")
+    build_index(corpus, snap, CFG, mode="fresh")
+    rows = [r for r in manifest.read_rows(snap) if r["stage"] == "runs"]
+    assert len(rows) > 2
+    last = rows[-1]["partition"]
+    for sub in ("runs", "doc_meta"):
+        d = os.path.join(snap, sub, last)
+        os.rename(d, d + ".tmp")
+    manifest.drop_stage(snap, "runs", partitions=[last])
+    manifest.drop_stage(snap, "postings")
+    for sub in ("postings", "term_stats"):
+        shutil.rmtree(os.path.join(snap, sub))
+    os.remove(os.path.join(snap, "stats.json"))
+
+    two = EngineConfig(mode="reference", block_size=16, num_shards=4, ckpt_groups=2)
+    build_index(corpus, snap, two, mode="continue")
+
+    fresh = str(base / "fresh")
+    build_index(corpus, fresh, CFG, mode="fresh")
+    _assert_same_index(snap, fresh)
+    parts = manifest.completed(snap, "runs")
+    for sub in ("runs", "doc_meta"):
+        assert set(os.listdir(os.path.join(snap, sub))) == parts
+
+    from uci_searchengine_ray.state.docstore import DocStore
+
+    ids = _tables(fresh)["doc_meta"]["doc_id"].to_pylist()
+    assert len(DocStore(snap).fetch(ids)) == len(ids) == 300
+
+
+def _committed_group(manifest_path: str) -> bool:
+    if not os.path.exists(manifest_path):
+        return False
+    with open(manifest_path) as f:
+        return '"stage": "runs"' in f.read()
+
+
+_KILLED_BUILD = r"""
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from uci_searchengine_ray.config import EngineConfig, configure_data_context
+
+configure_data_context()
+from uci_searchengine_ray.pipelines.index_build import build_index
+
+build_index(sys.argv[1], sys.argv[2],
+            EngineConfig(mode="reference", block_size=16, num_shards=4,
+                         ckpt_groups=4),
+            mode="fresh")
+"""
+
+
+def test_resume_after_sigkill(ray_session, corpus, tmp_path_factory):
+    """A real crash: a build process with its own Ray cluster is killed with
+    SIGKILL as soon as its first checkpoint group commits.  ``continue``,
+    with the same group count and with the derived (pinned) one, produces
+    the index of an uninterrupted build."""
+    base = tmp_path_factory.mktemp("kill")
+    killed = str(base / "killed")
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    env["PYTHONPATH"] = REPO + os.pathsep + env.get("PYTHONPATH", "")
+    log = base / "build.log"
+    mf = os.path.join(killed, "_manifest", "manifest.jsonl")
+    with open(log, "w") as f:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_BUILD, corpus, killed],
+            stdout=f, stderr=subprocess.STDOUT, env=env, cwd=REPO,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 240
+            while not _committed_group(mf):
+                assert proc.poll() is None, log.read_text()[-4000:]
+                assert time.monotonic() < deadline, "no group committed"
+                time.sleep(0.02)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    fresh = str(base / "fresh")
+    build_index(corpus, fresh, CFG, mode="fresh")
+    assert proc.returncode == -signal.SIGKILL
+    assert manifest.completed(killed, "postings") == set()
+    assert len(manifest.completed(killed, "runs")) < len(
+        manifest.completed(fresh, "runs"))
+    for name, cfg in (("same", CFG), ("derived", EngineConfig(
+            mode="reference", block_size=16, num_shards=4))):
+        snap = str(base / name)
+        shutil.copytree(killed, snap)
+        build_index(corpus, snap, cfg, mode="continue")
+        _assert_same_index(snap, fresh)
+        assert len(manifest.completed(snap, "runs")) == len(
+            manifest.completed(fresh, "runs"))

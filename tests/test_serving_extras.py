@@ -58,8 +58,7 @@ def test_quarantine_listing(ray_session, tmp_path):
     )
     pq.write_table(tbl, str(corpus / "part-0.parquet"))
     snap = str(tmp_path / "qsnap")
-    cfg = EngineConfig(mode="reference", ckpt_groups=1, num_shards=2,
-                       num_merge_groups=4)
+    cfg = EngineConfig(mode="reference", ckpt_groups=1, num_shards=2)
     build_index(str(corpus), snap, cfg, mode="fresh")
 
     listed = quarantine_listing(snap)

@@ -93,7 +93,6 @@ def main(argv=None) -> int:
     b.add_argument("--tokenizer", default="reference", choices=["reference", "code"])
     b.add_argument("--positions", action="store_true")
     b.add_argument("--shards", type=int, default=8)
-    b.add_argument("--ckpt-groups", type=int, default=4)
 
     ing = sub.add_parser(
         "ingest",
@@ -176,7 +175,6 @@ def main(argv=None) -> int:
             mode=args.tokenizer,
             store_positions=args.positions,
             num_shards=args.shards,
-            ckpt_groups=args.ckpt_groups,
         )
         build_index(args.corpus, args.index, cfg, mode=args.mode)
         print(json.dumps({"index": args.index, **load_stats(args.index)}))

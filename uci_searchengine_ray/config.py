@@ -14,16 +14,11 @@ class EngineConfig:
     # tokenizer mode: "reference" (conformance, SURVEY §1.4) or "code" (BM25 path)
     mode: str = "reference"
 
-    # posting-block size (postings per block; block-max metadata per block)
+    # posting-block size (postings per block)
     block_size: int = 128
 
     # index shards: postings partitioned by hash(term) % num_shards
     num_shards: int = 8
-
-    # phase-2 merge parallelism: runs are grouped by hash(term) %
-    # num_merge_groups (each group merges many terms in one vectorized call);
-    # raise with corpus size so groups stay worker-sized
-    num_merge_groups: int = 64
 
     # tokenize-stage batch size (docs per batch).  Bigger batches mean fewer
     # phase-1 runs per term (runs ≈ n_batches × batch vocab), which is the
@@ -38,8 +33,11 @@ class EngineConfig:
     tokenize_batch_size: Optional[int] = None
 
     # checkpoint groups: input files are processed in this many lineage groups;
-    # resume skips completed groups (manifest anti-join)
-    ckpt_groups: int = 4
+    # resume skips completed groups (manifest anti-join).  None (default) =
+    # derived by build_index from the corpus row count and the cluster CPUs
+    # (one group until each group fills a full task wave), then pinned in
+    # build_config.json; an explicit count overrides the pinned one
+    ckpt_groups: Optional[int] = None
 
     # keep full document content in the doc_meta forward store (reference
     # parity: the reference keeps content in its documents table and reads it

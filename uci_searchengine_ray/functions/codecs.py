@@ -4,7 +4,7 @@ with numpy.
 The reference stores one SQLite row per posting (models.py:182-197) with no
 compression and no ordering guarantee (SURVEY.md §2.6 K5).  The rebuild requires
 doc_id-ascending posting blocks so gaps are small and delta+varbyte compresses
-them; each block also records its first/last doc and block-max BM25 score.
+them.
 
 Encoding: classic VByte — 7 payload bits per byte, high bit set on the LAST
 byte of each integer (terminator convention), little-endian payload order.

@@ -14,14 +14,21 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     manifest row: {stage: runs, partition: G, docs, tokens}
 
   phase 2 — global merge (runs are compressed, ~1-2 B/posting):
-    one task per merge_key reads runs/*/merge_key=M/ ONCE and merges its
-    terms (no groupby/sort — data is already co-located by key)
-      → postings/shard=K/ (partition_cols=["shard"])
+    one task per CPU, each over a slice of the merge keys; per key it reads
+    that key's run files of the manifest's groups ONCE and merges its terms
+    (no groupby/sort — data is already co-located by key), yielding one
+    table per key → postings/shard=K/ (partition_cols=["shard"])
     term_stats (term, df) computed PER MERGE KEY inside the same task from
-    the (term, n) columns of the table it merges — per-task memory is
-    bounded by vocab/num_merge_groups and the driver never materializes the
+    the (term, n) columns of the table it merges — per-key memory is
+    bounded by vocab/keys and the driver never materializes the
     vocabulary (VERDICT r1 item #2); stats.json with N / avgdl /
     total_tokens / n_terms.  One merge key's postings must fit one worker.
+
+The build sizes itself (``plan_build``): one footer scan of the corpus and
+one cluster-resource query per build give the checkpoint-group count, the
+merge-key count and the tokenize batch size.  The group and key counts are
+pinned in build_config.json, and ``continue``/``rebuild`` adopt them, so
+incremental ingest keeps group membership and the run key layout.
 
 Build modes mirror the reference's crawl modes (routes.py:133-219):
   fresh    — wipe the snapshot dir, build everything
@@ -44,7 +51,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Sequence, Tuple
+import posixpath
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow.dataset as pa_ds
 
@@ -56,6 +64,18 @@ from ..stages.postings import TokenizeEncodeRuns, make_merge_shard
 
 STAGE_RUNS = "runs"
 STAGE_POSTINGS = "postings"
+
+
+def plan_build(rows: int, ncpu: int) -> Tuple[int, int]:
+    """(checkpoint groups, merge keys) for a corpus of ``rows`` docs on
+    ``ncpu`` CPUs.  Groups: one, unless each of up to four groups fills a
+    full task wave of 8192-doc batches (every group is a sequential Dataset
+    job, so small groups are pure orchestration cost).  Keys: 64, or ~16k
+    docs per key past 1M docs — the per-key size measured safe at 1M."""
+    groups = min(4, max(1, rows // (8192 * ncpu)))
+    keys = max(64, -(-rows // 16384))
+    return groups, keys
+
 
 def _input_files(corpus_path: str) -> Tuple["object", List[str]]:
     """(filesystem, file list) for a corpus path/URI (file or directory)."""
@@ -129,36 +149,40 @@ def build_index(
         manifest.drop_stage(index_dir, STAGE_POSTINGS)
 
     cfs, files = _input_files(corpus_path)
+    file_rows = {f: storage.parquet_rows(f, cfs) for f in files}
+    ncpu = int(ray.cluster_resources().get("CPU", 0)) or 32
+    n_groups, n_keys = plan_build(sum(file_rows.values()), ncpu)
 
     # the knobs that change the RUN FORMAT or key layout are pinned at first
-    # build (build_config.json) — resuming with different values would merge
-    # incompatible runs (e.g. a store_positions flip yields blocks whose
-    # position payloads cover only some postings, silently mis-split at
-    # query time).  Only keys both configs carry are compared, so snapshots
-    # that pinned extra keys still resume.
+    # build (build_config.json) — resuming with a different mode or
+    # store_positions would merge incompatible runs (e.g. a store_positions
+    # flip yields blocks whose position payloads cover only some postings,
+    # silently mis-split at query time).  The group and key counts are
+    # adopted from the pin instead: a grown corpus keeps its group
+    # membership and run key layout.  An explicit ckpt_groups wins; the
+    # stale-partition reconcile below re-homes the groups it reshuffles.
     bc_path = storage.join(root, "build_config.json")
-    pinned = {
-        "mode": cfg.mode,
-        "store_positions": bool(cfg.store_positions),
-        "num_merge_groups": cfg.num_merge_groups,
-    }
+    prior_cfg = {}
     if mode != "fresh" and storage.exists(fs, bc_path):
         prior_cfg = storage.read_json(fs, bc_path)
-        drift = {
-            k: (prior_cfg[k], pinned[k])
-            for k in pinned
-            if k in prior_cfg and prior_cfg[k] != pinned[k]
-        }
-        if drift:
-            raise ValueError(
-                f"mode={mode!r} with run-shaping config drift vs the pinned "
-                f"build_config.json {drift} — use mode='fresh' to rebuild "
-                "with the new settings"
-            )
-    else:
-        storage.write_json(fs, bc_path, pinned)
+    shaping = {"mode": cfg.mode, "store_positions": bool(cfg.store_positions)}
+    drift = {k: (prior_cfg[k], v) for k, v in shaping.items()
+             if prior_cfg.get(k, v) != v}
+    if drift:
+        raise ValueError(
+            f"mode={mode!r} with run-shaping config drift vs the pinned "
+            f"build_config.json {drift} — use mode='fresh' to rebuild "
+            "with the new settings"
+        )
+    # keys this build does not pin (older snapshots) are kept as they were
+    pinned = {"num_merge_groups": n_keys, "ckpt_groups": n_groups,
+              **prior_cfg, **shaping}
+    if cfg.ckpt_groups is not None:
+        pinned["ckpt_groups"] = cfg.ckpt_groups
+    storage.write_json(fs, bc_path, pinned)
+    n_groups, n_keys = pinned["ckpt_groups"], pinned["num_merge_groups"]
 
-    groups = _groups_of(files, cfg.ckpt_groups)
+    groups = _groups_of(files, n_groups)
     prior_inputs = {
         str(r["partition"]): sorted(r.get("inputs", []))
         for r in manifest.stage_metrics(index_dir, STAGE_RUNS)
@@ -167,16 +191,13 @@ def build_index(
     # stale-partition reconcile (incremental ingest): a prior group that has
     # NO files under the current hash assignment (file deletions, or a
     # different group count reshuffling membership) would otherwise keep its
-    # manifest row + runs/doc_meta dirs while its docs are also rebuilt into
-    # their new groups — double-counting them in phase 2 and in n_docs
+    # manifest row while its docs are also rebuilt into their new groups —
+    # double-counting them in phase 2 and in n_docs.  Its dirs go with the
+    # orphan sweep before phase 2.
     current_parts = {f"group={gid}" for gid, gf in enumerate(groups) if gf}
     stale = [p for p in prior_inputs if p not in current_parts]
     if stale:
         manifest.drop_stage(index_dir, STAGE_RUNS, partitions=stale)
-        for p in stale:
-            storage.rm_tree(fs, storage.join(root, STAGE_RUNS, p))
-            storage.rm_tree(fs, storage.join(root, "doc_meta", p))
-            prior_inputs.pop(p, None)
     done = manifest.completed(index_dir, STAGE_RUNS)
 
     # ---- phase 1: fused tokenize→encode runs, per checkpoint group ----
@@ -210,9 +231,8 @@ def build_index(
         # corpora keep parallelism and batch bytes stay heap-bounded
         bs = cfg.tokenize_batch_size
         if bs is None:
-            rows_g = sum(storage.parquet_rows(f, cfs) for f in gfiles)
-            ncpu = int(ray.cluster_resources().get("CPU", 0)) or 32
-            bs = max(1024, min(8192, (rows_g + ncpu - 1) // ncpu))
+            rows_g = sum(file_rows[f] for f in gfiles)
+            bs = max(1024, min(8192, -(-rows_g // ncpu)))
 
         # fused tokenize→TF-combine→run-encode: NO shuffle in phase 1; only
         # compressed runs (~1-2 B/posting) enter the object store.  The stage
@@ -224,7 +244,7 @@ def build_index(
         runs = ds.map_batches(
             TokenizeEncodeRuns(
                 cfg.mode,
-                cfg.num_merge_groups,
+                n_keys,
                 meta_dir=meta_staged.path,
                 meta_fs=fs,
                 store_positions=cfg.store_positions,
@@ -261,8 +281,17 @@ def build_index(
             },
         )
 
-    # ---- global stats (A3/A4): N from manifest, avgdl from run tf sums ----
+    # ---- orphan sweep: a runs/ or doc_meta/ child without a manifest row
+    # (a crashed group's staged .tmp dir, a partial object-store write, a
+    # stale group) must never reach the merge or the doc store ----
     rows = manifest.stage_metrics(index_dir, STAGE_RUNS)
+    parts = sorted({str(r["partition"]) for r in rows})
+    for sub in (STAGE_RUNS, "doc_meta"):
+        for d in storage.ls_dirs(fs, storage.join(root, sub)):
+            if posixpath.basename(d) not in parts:
+                storage.rm_tree(fs, d)
+
+    # ---- global stats (A3/A4): N from manifest, avgdl from run tf sums ----
     n_docs = sum(r["docs"] for r in rows)
     total_tokens = sum(r["tokens"] for r in rows)
     avgdl = total_tokens / n_docs if n_docs else 0.0
@@ -288,41 +317,29 @@ def build_index(
             storage.rm_tree(fs, storage.join(root, sub))
 
     # ---- phase 2: merge runs → blocks → sharded parquet (NO shuffle:
-    # runs are already key-partitioned on disk; one task per merge_key).
-    # Each task reads its key's run files once and derives the key's
-    # term_stats slice from the (term, n) columns of that same table — no
-    # driver-side vocabulary aggregate; per-task df memory is bounded by
-    # vocab/num_merge_groups. ----
+    # runs are already key-partitioned on disk).  The driver lists the
+    # manifest groups' run files once; one task per CPU takes a slice of
+    # the keys and, per key, reads that key's files once, derives the key's
+    # term_stats slice from the (term, n) columns of the same table and
+    # yields the key's blocks — no driver-side vocabulary aggregate. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
-        merge = make_merge_shard(
-            n_docs=n_docs,
-            avgdl=avgdl,
-            block_size=cfg.block_size,
-            num_shards=cfg.num_shards,
-            k1=cfg.bm25_k1,
-            b=cfg.bm25_b,
-        )
-        group_dirs = storage.ls_dirs(fs, storage.join(root, STAGE_RUNS))
+        merge = make_merge_shard(block_size=cfg.block_size, num_shards=cfg.num_shards)
+        key_paths: Dict[int, List[str]] = {k: [] for k in range(n_keys)}
+        for part in parts:
+            gdir = storage.join(root, STAGE_RUNS, part)
+            # recursive listing: runs written by older builds sit one
+            # directory deeper under the key dir
+            for p in storage.ls_files(fs, gdir, suffix=".parquet"):
+                key_dir = p[len(gdir) + 1:].split("/", 1)[0]
+                key_paths[int(key_dir[len("merge_key="):])].append(p)
         ts_dir = storage.join(root, "term_stats")
         storage.rm_tree(fs, ts_dir)
         storage.makedirs(fs, ts_dir)
 
-        def merge_key_batch(batch):
-            import pyarrow as pa
-
-            from ..stages.postings import BLOCK_SCHEMA
-
-            outs = []
-            for key in batch["merge_key"].to_pylist():
-                # recursive listing: runs written by older builds sit one
-                # directory deeper under the key dir
-                paths = [
-                    p
-                    for gd in group_dirs
-                    for p in storage.ls_files(
-                        fs, storage.join(gd, f"merge_key={key}"), suffix=".parquet"
-                    )
-                ]
+        def merge_keys(batch):
+            for key, paths in zip(
+                batch["merge_key"].to_pylist(), batch["paths"].to_pylist()
+            ):
                 if not paths:
                     continue
                 tbl = pa_ds.dataset(paths, format="parquet", filesystem=fs).to_table()
@@ -337,21 +354,14 @@ def build_index(
                     storage.write_table_idempotent(
                         fs, ts, ts_dir, f"ts-key{key}.parquet"
                     )
-                outs.append(merge(tbl))
-            return (
-                pa.concat_tables(outs)
-                if outs
-                else pa.table(
-                    {f.name: pa.array([], f.type) for f in BLOCK_SCHEMA}
-                )
-            )
+                yield merge(tbl)
 
+        # ≤ ceil(keys / ncpu) keys per block, one block per task
         keys = ray.data.from_items(
-            [{"merge_key": k} for k in range(cfg.num_merge_groups)]
+            [{"merge_key": k, "paths": v} for k, v in key_paths.items()],
+            override_num_blocks=ncpu,
         )
-        blocks = keys.map_batches(
-            merge_key_batch, batch_format="pyarrow", batch_size=1
-        )
+        blocks = keys.map_batches(merge_keys, batch_format="pyarrow", batch_size=None)
         postings_staged = storage.StagedDir(fs, storage.join(root, STAGE_POSTINGS))
         blocks.write_parquet(
             postings_staged.path, filesystem=fs, partition_cols=["shard"]
@@ -367,7 +377,7 @@ def build_index(
             "mode": cfg.mode,
             "block_size": cfg.block_size,
             "num_shards": cfg.num_shards,
-            "num_merge_groups": cfg.num_merge_groups,
+            "num_merge_groups": n_keys,
             "store_positions": cfg.store_positions,
             "bm25_k1": cfg.bm25_k1,
             "bm25_b": cfg.bm25_b,

@@ -2,7 +2,7 @@
 
 The reference inserts one uncompressed SQLite row per posting in insertion
 order (crawler.py:460-466, models.py:182-197).  The rebuild constructs sorted,
-delta+varbyte-compressed, block-max-annotated posting lists in two stages:
+delta+varbyte-compressed posting blocks in two stages:
 
   phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
       corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
@@ -10,18 +10,17 @@ delta+varbyte-compressed, block-max-annotated posting lists in two stages:
       the batch and emit one compressed *run* row per term per batch.
       Fusing tokenize→explode→encode in one stage means raw postings never
       cross the object store — only ~1-2 byte/posting runs do — and the
-      hive-partitioned run write (by merge_key = hash(term) %
-      num_merge_groups) IS the phase-1→2 exchange: a disk-backed shuffle
-      with no sort.
+      hive-partitioned run write (by merge_key = hash(term) % merge keys)
+      IS the phase-1→2 exchange: a disk-backed shuffle with no sort.
 
-  phase 2 — one task per merge_key reads exactly its co-located run files
-      and runs ``merge_shard``: per term, the runs (disjoint doc sets) are
-      decoded, merge-sorted and re-encoded into fixed-size blocks with df
-      and block-max metadata; many terms merge in one vectorized call (no
-      per-term Ray scheduling).  Zipf skew: raise ``num_merge_groups`` to
-      balance groups; stopword filtering in code mode removes the worst
-      offenders outright.  One merge key's postings must fit one worker
-      (the 1M-doc adversarial build, hottest df ≈ 1M, stayed within it).
+  phase 2 — each merge task takes a slice of the merge keys and, per key,
+      reads exactly its co-located run files and runs ``merge_shard``: per
+      term, the runs (disjoint doc sets) are decoded, merge-sorted and
+      re-encoded into fixed-size blocks with df; many terms merge in one
+      vectorized call (no per-term Ray scheduling).  ``build_index`` derives
+      the key count from the corpus size (~16k docs per key, at least 64),
+      so one key's postings stay worker-sized; stopword filtering in code
+      mode removes the worst Zipf offenders outright.
 
 Block rows carry ``shard = hash(term) % num_shards`` for partitioned output —
 one directory per shard, the unit of query-side placement.
@@ -37,7 +36,6 @@ import pyarrow as pa
 
 from ..functions import codecs
 from ..functions.hashing import term_shard
-from ..functions.scoring import bm25_idf, bm25_term_score
 from ..functions.tokenizer import TOKENIZERS
 
 RUN_SCHEMA = pa.schema(
@@ -63,12 +61,9 @@ BLOCK_SCHEMA = pa.schema(
         ("df", pa.int64()),
         ("block_id", pa.int32()),
         ("n", pa.int32()),
-        ("first_doc", pa.int64()),
-        ("last_doc", pa.int64()),
         ("doc_ids", pa.large_binary()),
         ("tfs", pa.large_binary()),
         ("doc_lens", pa.large_binary()),
-        ("block_max_bm25", pa.float32()),
         ("positions", pa.large_binary()),
     ]
 )
@@ -77,22 +72,23 @@ BLOCK_SCHEMA = pa.schema(
 class TokenizeEncodeRuns:
     """Fused tokenize → per-doc TF → per-(term, batch) compressed run stage.
 
-    Stateful (actor pool): tokenizer bound once per actor.  Per batch, all
-    per-posting work is numpy; the only per-item Python is the regex findall
-    per document and one slice per distinct term in the batch.
+    A picklable callable run as stateless Ray Data tasks; the tokenizer's
+    compiled regexes are module-level.  Per batch, all per-posting work is
+    numpy; the only per-item Python is the regex findall per document and
+    one slice per distinct term in the batch.
     """
 
     def __init__(
         self,
         mode: str = "reference",
-        num_merge_groups: int = 64,
+        num_merge_keys: int = 64,
         meta_dir: str | None = None,
         meta_fs=None,
         store_positions: bool = False,
         store_content: bool = True,
     ):
         self._tokenize = TOKENIZERS[mode]
-        self._num_merge_groups = num_merge_groups
+        self._num_merge_keys = num_merge_keys
         self._meta_dir = meta_dir
         self._meta_fs = meta_fs  # pyarrow.fs handle (picklable), None = local
         self._store_positions = store_positions
@@ -223,7 +219,7 @@ class TokenizeEncodeRuns:
         run_terms = term_arr[seg_starts]
         tf_sums = np.add.reduceat(tf_arr, seg_starts)
         merge_keys = [
-            term_shard(t, self._num_merge_groups) for t in run_terms
+            term_shard(t, self._num_merge_keys) for t in run_terms
         ]
         if want_pos:
             # positions of every posting concatenated once: delta-encode
@@ -261,32 +257,9 @@ class TokenizeEncodeRuns:
         )
 
 
-def _f32_upper(x: np.ndarray) -> np.ndarray:
-    """float32 value that is a SAFE upper bound of the float64 input.
-
-    A plain ``.astype(np.float32)`` rounds to nearest and can land BELOW
-    the true maximum; a pruning scorer that skips blocks on strict
-    ``bound < theta`` against exact float64 doc scores would then skip a
-    block holding a true top-k doc.  Bump every rounded-down value to the
-    next float32 toward +inf."""
-    f32 = x.astype(np.float32)
-    low = f32.astype(np.float64) < x
-    if low.any():
-        f32[low] = np.nextafter(f32[low], np.float32(np.inf))
-    return f32
-
-
-def make_merge_shard(
-    n_docs: int,
-    avgdl: float,
-    block_size: int,
-    num_shards: int,
-    k1: float,
-    b: float,
-) -> Callable[[pa.Table], pa.Table]:
-    """Phase-2 map_groups body factory: one merge_key group (many terms) →
-    final block rows.  Global stats (N, avgdl) are bound at build time —
-    available before this stage runs (SURVEY §2.5 A3/A4)."""
+def make_merge_shard(block_size: int, num_shards: int) -> Callable[[pa.Table], pa.Table]:
+    """Phase-2 merge body factory: one merge key's runs (many terms) →
+    final block rows."""
 
     def merge_shard_vectorized(group: pa.Table, pos_enc=None) -> pa.Table:
         """Vectorized merge: batch-decode every run in one codec pass, ONE
@@ -339,8 +312,8 @@ def make_merge_shard(
         # duplicate-doc_id detection must be WITHIN-term and must not lean on
         # the encoder: delta_encode_segments resets its ascending check at
         # every block start, so a duplicate landing exactly on a block
-        # boundary would be silently accepted (emitting last_doc(i) ==
-        # first_doc(i+1), which the scorer would count twice).  After the
+        # boundary would be silently accepted (block i's last doc equal to
+        # block i+1's first, which the scorer would count twice).  After the
         # lexsort ids are ascending within each term, so any adjacent equal
         # pair with equal term rank is a duplicate; the term-rank mask also
         # keeps a legitimate cross-term coincidence (last doc of term A ==
@@ -357,9 +330,8 @@ def make_merge_shard(
                 "path, commit) identity appears in more than one corpus file"
             )
 
-        # df / idf per term: a term's postings all sit in this group
+        # df per term: a term's postings all sit in this merge key
         dfs = seg_lens
-        idfs = bm25_idf(dfs, n_docs)
 
         # blocks per term
         nb = (seg_lens + block_size - 1) // block_size
@@ -373,14 +345,6 @@ def make_merge_shard(
             blk_starts + block_size,
             (seg_starts + seg_lens)[term_of_block],
         )
-
-        # per-posting scores, block maxima via reduceat on the block grid
-        idf_pp = np.repeat(idfs, seg_lens)  # postings are term-major
-        bm25_pp = bm25_term_score(tfs_all, dls_all, idf_pp, avgdl, k1, b)
-        if total_blocks:
-            bmax = _f32_upper(np.maximum.reduceat(bm25_pp, blk_starts))
-        else:
-            bmax = np.empty(0, dtype=np.float32)
 
         # (duplicates were rejected above; the codec's own ascending check
         # remains as a backstop for non-block-boundary corruption)
@@ -423,12 +387,9 @@ def make_merge_shard(
                 "df": pa.array(dfs[term_of_block], pa.int64()),
                 "block_id": pa.array(blk_within.astype(np.int32), pa.int32()),
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
-                "first_doc": pa.array(ids_all[blk_starts], pa.int64()),
-                "last_doc": pa.array(ids_all[blk_ends - 1], pa.int64()),
                 "doc_ids": pa.array(ids_b, pa.large_binary()),
                 "tfs": pa.array(tfs_b, pa.large_binary()),
                 "doc_lens": pa.array(dls_b, pa.large_binary()),
-                "block_max_bm25": pa.array(bmax),
                 "positions": pa.array(pos_b, pa.large_binary()),
             },
             schema=BLOCK_SCHEMA,
