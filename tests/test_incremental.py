@@ -136,8 +136,9 @@ def test_plan_sizes_groups_and_keys_from_corpus():
     from uci_searchengine_ray.pipelines.index_build import plan_build
 
     assert plan_build(8_000, 4) == (1, 64)
-    assert plan_build(1_000_000, 32)[0] == 3
-    assert plan_build(10_000_000, 32) == (4, 611)
+    assert plan_build(500_000, 4) == (4, 64)
+    assert plan_build(1_000_000, 32) == (3, 128)
+    assert plan_build(10_000_000, 32) == (4, 1280)
     assert plan_build(0, 4) == (1, 64)
 
 

@@ -270,3 +270,56 @@ def test_resume_after_sigkill(ray_session, corpus, tmp_path_factory):
         _assert_same_index(snap, fresh)
         assert len(manifest.completed(snap, "runs")) == len(
             manifest.completed(fresh, "runs"))
+
+
+def test_rebuild_keeps_groups_of_pin_without_group_count(
+    ray_session, corpus, tmp_path_factory
+):
+    """Snapshots from older builds pin ``num_merge_groups`` but not
+    ``ckpt_groups``.  A ``rebuild`` with the derived (default) group count
+    recovers the recorded count from the runs manifest: no run file is
+    rewritten, and the pin gains the recovered count."""
+    snap = str(tmp_path_factory.mktemp("oldpin") / "s")
+    build_index(corpus, snap, CFG, mode="fresh")
+    d1 = _dir_digest(snap)
+    bc = os.path.join(snap, "build_config.json")
+    with open(bc) as fh:
+        pinned = json.load(fh)
+    del pinned["ckpt_groups"]
+    with open(bc, "w") as fh:
+        json.dump(pinned, fh)
+    runs_files = sorted(
+        glob.glob(os.path.join(snap, "runs", "**", "*.parquet"), recursive=True)
+    )
+    mtimes = {f: os.path.getmtime(f) for f in runs_files}
+    n_groups = len(manifest.completed(snap, "runs"))
+    assert n_groups > 1
+
+    build_index(corpus, snap, EngineConfig(mode="reference", block_size=16,
+                                           num_shards=4), mode="rebuild")
+    assert {f: os.path.getmtime(f) for f in runs_files} == mtimes
+    assert len(manifest.completed(snap, "runs")) == n_groups
+    assert _dir_digest(snap) == d1
+    with open(bc) as fh:
+        assert json.load(fh)["ckpt_groups"] >= n_groups
+
+
+def test_noop_continue_reads_no_footers(
+    ray_session, corpus, tmp_path_factory, monkeypatch
+):
+    """``continue`` on a finished build is a manifest no-op: it neither
+    scans the corpus's parquet footers nor queries the cluster."""
+    from uci_searchengine_ray.pipelines import index_build
+
+    snap = str(tmp_path_factory.mktemp("noop") / "s")
+    build_index(corpus, snap, CFG, mode="fresh")
+    d1 = _dir_digest(snap)
+
+    def boom(*a, **k):
+        raise AssertionError("no footer scan or cluster query expected")
+
+    monkeypatch.setattr(index_build.storage, "parquet_rows", boom)
+    monkeypatch.setattr(index_build.ray, "cluster_resources", boom)
+    for cfg in (CFG, EngineConfig(mode="reference", block_size=16, num_shards=4)):
+        build_index(corpus, snap, cfg, mode="continue")
+    assert _dir_digest(snap) == d1

@@ -24,11 +24,11 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     vocabulary (VERDICT r1 item #2); stats.json with N / avgdl /
     total_tokens / n_terms.  One merge key's postings must fit one worker.
 
-The build sizes itself (``plan_build``): one footer scan of the corpus and
-one cluster-resource query per build give the checkpoint-group count, the
-merge-key count and the tokenize batch size.  The group and key counts are
-pinned in build_config.json, and ``continue``/``rebuild`` adopt them, so
-incremental ingest keeps group membership and the run key layout.
+The build sizes itself (``plan_build``): at most one footer scan of the
+corpus and one cluster-resource query per build give the checkpoint-group
+count, the merge-key count and the tokenize batch size.  The group and key
+counts are pinned in build_config.json, and ``continue``/``rebuild`` adopt
+them, so incremental ingest keeps group membership and the run key layout.
 
 Build modes mirror the reference's crawl modes (routes.py:133-219):
   fresh    — wipe the snapshot dir, build everything
@@ -49,6 +49,8 @@ with the manifest row as the commit point (see state/storage.py docstring).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import posixpath
@@ -70,10 +72,11 @@ def plan_build(rows: int, ncpu: int) -> Tuple[int, int]:
     """(checkpoint groups, merge keys) for a corpus of ``rows`` docs on
     ``ncpu`` CPUs.  Groups: one, unless each of up to four groups fills a
     full task wave of 8192-doc batches (every group is a sequential Dataset
-    job, so small groups are pure orchestration cost).  Keys: 64, or ~16k
-    docs per key past 1M docs — the per-key size measured safe at 1M."""
+    job, so small groups are pure orchestration cost).  Keys: 64, or 128
+    per 1M docs past 500k docs — the 1M-doc adversarial build's 128 keys
+    (~7.8k docs per key, BASELINE.md) is the one per-key size measured."""
     groups = min(4, max(1, rows // (8192 * ncpu)))
-    keys = max(64, -(-rows // 16384))
+    keys = max(64, -(-rows * 128 // 1_000_000))
     return groups, keys
 
 
@@ -94,6 +97,11 @@ def _input_files(corpus_path: str) -> Tuple["object", List[str]]:
     return cfs, files
 
 
+def _file_hash(path: str) -> int:
+    digest = hashlib.md5(os.path.basename(path).encode(), usedforsecurity=False).digest()
+    return int.from_bytes(digest[:4], "big")
+
+
 def _groups_of(files: Sequence[str], n_groups: int) -> List[List[str]]:
     """Stable file→group assignment by file-name hash.
 
@@ -102,16 +110,25 @@ def _groups_of(files: Sequence[str], n_groups: int) -> List[List[str]]:
     corpus) only rebuilds the groups whose membership actually changed —
     the reference's mode=continue re-derives exactly the missing work the
     same way (routes.py:158-188)."""
-    import hashlib as _hl
-
     n_groups = max(1, min(n_groups, len(files)))
     groups: List[List[str]] = [[] for _ in range(n_groups)]
     for f in files:
-        h = int.from_bytes(
-            _hl.md5(os.path.basename(f).encode(), usedforsecurity=False).digest()[:4], "big"
-        )
-        groups[h % n_groups].append(f)
+        groups[_file_hash(f) % n_groups].append(f)
     return groups
+
+
+def _recorded_group_count(run_rows: List[dict]) -> Optional[int]:
+    """Group count of a snapshot whose build_config.json predates the pinned
+    ``ckpt_groups``: the smallest count whose hash assignment puts every
+    input file of the runs manifest in its recorded group (None if none
+    does), so resuming such a snapshot re-tokenizes nothing."""
+    placed = [(int(str(r["partition"]).split("=", 1)[1]), _file_hash(f))
+              for r in run_rows for f in r.get("inputs", [])]
+    top = max((g + 1 for g, _ in placed), default=1)
+    for n in range(top, top + len(placed)):
+        if all(h % n == g for g, h in placed):
+            return n
+    return None
 
 
 def _sum_column(fs, dir_path: str, column: str) -> int:
@@ -149,9 +166,11 @@ def build_index(
         manifest.drop_stage(index_dir, STAGE_POSTINGS)
 
     cfs, files = _input_files(corpus_path)
-    file_rows = {f: storage.parquet_rows(f, cfs) for f in files}
-    ncpu = int(ray.cluster_resources().get("CPU", 0)) or 32
-    n_groups, n_keys = plan_build(sum(file_rows.values()), ncpu)
+    # the footer scan and the cluster-resource query run at most once per
+    # build, and only when a count must be planned or a stage (re)built — a
+    # no-op continue on a finished build reads neither
+    file_rows = functools.cache(lambda: {f: storage.parquet_rows(f, cfs) for f in files})
+    ncpu = functools.cache(lambda: int(ray.cluster_resources().get("CPU", 0)) or 32)
 
     # the knobs that change the RUN FORMAT or key layout are pinned at first
     # build (build_config.json) — resuming with a different mode or
@@ -161,6 +180,8 @@ def build_index(
     # adopted from the pin instead: a grown corpus keeps its group
     # membership and run key layout.  An explicit ckpt_groups wins; the
     # stale-partition reconcile below re-homes the groups it reshuffles.
+    # A pin from before ckpt_groups was pinned takes the count the runs
+    # manifest records, so no recorded group is re-tokenized.
     bc_path = storage.join(root, "build_config.json")
     prior_cfg = {}
     if mode != "fresh" and storage.exists(fs, bc_path):
@@ -174,19 +195,21 @@ def build_index(
             f"build_config.json {drift} — use mode='fresh' to rebuild "
             "with the new settings"
         )
+    run_rows = manifest.stage_metrics(index_dir, STAGE_RUNS)
     # keys this build does not pin (older snapshots) are kept as they were
-    pinned = {"num_merge_groups": n_keys, "ckpt_groups": n_groups,
-              **prior_cfg, **shaping}
+    pinned = {**prior_cfg, **shaping}
     if cfg.ckpt_groups is not None:
         pinned["ckpt_groups"] = cfg.ckpt_groups
+    elif "ckpt_groups" not in pinned and (recorded := _recorded_group_count(run_rows)):
+        pinned["ckpt_groups"] = recorded
+    if not {"ckpt_groups", "num_merge_groups"} <= pinned.keys():
+        planned = plan_build(sum(file_rows().values()), ncpu())
+        pinned = {"ckpt_groups": planned[0], "num_merge_groups": planned[1], **pinned}
     storage.write_json(fs, bc_path, pinned)
     n_groups, n_keys = pinned["ckpt_groups"], pinned["num_merge_groups"]
 
     groups = _groups_of(files, n_groups)
-    prior_inputs = {
-        str(r["partition"]): sorted(r.get("inputs", []))
-        for r in manifest.stage_metrics(index_dir, STAGE_RUNS)
-    }
+    prior_inputs = {str(r["partition"]): sorted(r.get("inputs", [])) for r in run_rows}
 
     # stale-partition reconcile (incremental ingest): a prior group that has
     # NO files under the current hash assignment (file deletions, or a
@@ -231,8 +254,8 @@ def build_index(
         # corpora keep parallelism and batch bytes stay heap-bounded
         bs = cfg.tokenize_batch_size
         if bs is None:
-            rows_g = sum(file_rows[f] for f in gfiles)
-            bs = max(1024, min(8192, -(-rows_g // ncpu)))
+            rows_g = sum(file_rows()[f] for f in gfiles)
+            bs = max(1024, min(8192, -(-rows_g // ncpu())))
 
         # fused tokenize→TF-combine→run-encode: NO shuffle in phase 1; only
         # compressed runs (~1-2 B/posting) enter the object store.  The stage
@@ -299,9 +322,7 @@ def build_index(
     # postings validity = fingerprint over the exact runs-stage state; a crash
     # between a group rebuild and the re-merge leaves a stale-but-"done"
     # postings row, which this catches on the next continue
-    import hashlib as _hl
-
-    runs_fp = _hl.sha256(
+    runs_fp = hashlib.sha256(
         json.dumps(
             sorted(
                 (str(r["partition"]), r["docs"], r["tokens"], sorted(r.get("inputs", [])))
@@ -359,7 +380,7 @@ def build_index(
         # ≤ ceil(keys / ncpu) keys per block, one block per task
         keys = ray.data.from_items(
             [{"merge_key": k, "paths": v} for k, v in key_paths.items()],
-            override_num_blocks=ncpu,
+            override_num_blocks=ncpu(),
         )
         blocks = keys.map_batches(merge_keys, batch_format="pyarrow", batch_size=None)
         postings_staged = storage.StagedDir(fs, storage.join(root, STAGE_POSTINGS))

@@ -18,8 +18,8 @@ delta+varbyte-compressed posting blocks in two stages:
       term, the runs (disjoint doc sets) are decoded, merge-sorted and
       re-encoded into fixed-size blocks with df; many terms merge in one
       vectorized call (no per-term Ray scheduling).  ``build_index`` derives
-      the key count from the corpus size (~16k docs per key, at least 64),
-      so one key's postings stay worker-sized; stopword filtering in code
+      the key count from the corpus size (at least 64, ~7.8k docs per key
+      past 500k docs), so one key's postings stay worker-sized; stopword filtering in code
       mode removes the worst Zipf offenders outright.
 
 Block rows carry ``shard = hash(term) % num_shards`` for partitioned output —
