@@ -38,6 +38,7 @@ from uci_searchengine_ray.pipelines import (
 from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.pipelines.search import (
     PostingsIndex,
+    QueryScorer,
     score_bm25_taat,
     score_reference,
     search_batch,
@@ -129,15 +130,15 @@ def _ranked_table(index_dir: str, scorer: str) -> pa.Table:
 
 def _envelope_table(index_dir: str) -> pa.Table:
     """Result-envelope totals per query (reference search.py:119-126:
-    total_results / total_pages at per_page=10)."""
-    idx = PostingsIndex(index_dir)
+    total_results / total_pages at per_page=10), as the served envelope
+    (``QueryScorer.search``) reports them."""
+    scorer = QueryScorer(index_dir, with_snippets=False)
     cols = {"query_id": [], "total_results": [], "total_pages": []}
     for qid, query in QUERYSET:
-        ids, _ = score_reference(idx, query)
-        total = len(ids)
+        env = scorer.search(query, 1, TOP_N)
         cols["query_id"].append(qid)
-        cols["total_results"].append(total)
-        cols["total_pages"].append((total + TOP_N - 1) // TOP_N)
+        cols["total_results"].append(env["total_results"])
+        cols["total_pages"].append(env["total_pages"])
     return pa.table(
         {
             "query_id": pa.array(cols["query_id"], pa.int64()),

@@ -56,7 +56,8 @@ def run_bench() -> dict:
         sampling,
     )
     from uci_searchengine_ray.pipelines.index_build import build_index, load_stats
-    from uci_searchengine_ray.pipelines.search import QueryScorer, search_batch
+    from uci_searchengine_ray.pipelines.search import (
+        PostingsIndex, QueryScorer, search_batch)
     from uci_searchengine_ray.sources.corpus import (
         adapt_documents_batch,
         write_synthetic_corpus,
@@ -169,11 +170,8 @@ def run_bench() -> dict:
     extras["index_payload_resident_mb"] = round(
         scorer.index._payload_bytes / 2**20, 3
     )
-    full = QueryScorer(idx_dir, mode="reference", with_snippets=False,
-                       preload=True)
-    extras["index_payload_total_mb"] = round(
-        full.index._payload_bytes / 2**20, 3
-    )
+    full = PostingsIndex(idx_dir, preload=True)
+    extras["index_payload_total_mb"] = round(full._payload_bytes / 2**20, 3)
 
     # ---- headline 3b: p99 under CONCURRENT load through the REST façade
     # (VERDICT r4 #8): keep-alive HTTP clients hammer SearchServer; the
@@ -250,10 +248,7 @@ def run_bench() -> dict:
     extras["query_concurrent_qps"] = round(qps_r, 1)
 
     # ---- exact BM25 top-10 on the synthetic code index ----
-    from uci_searchengine_ray.pipelines.search import (
-        PostingsIndex,
-        score_bm25_taat,
-    )
+    from uci_searchengine_ray.pipelines.search import score_bm25_taat
 
     sc_index = PostingsIndex(sc_idx)
     bm25_queries = [

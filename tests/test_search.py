@@ -113,11 +113,51 @@ def test_actor_pool_batch_search(ray_session, built_index, oracle):
             assert got[0]["url"] != ""
 
 
+def test_batch_paging_clamps_like_search_one(ray_session, built_index):
+    """The map_batches stage clamps paging as HTTP and the oracle do: a
+    zero or negative page / per_page becomes 1 (only a null one takes its
+    default), and ranks continue from the page's first position."""
+    q = "the self value"
+    shapes = [(0, 0), (-3, 7), (2, 10), (99, 10)]
+    queries = [{"query_id": i, "query": q, "page": p, "per_page": pp}
+               for i, (p, pp) in enumerate(shapes)]
+    rows = search_batch(built_index, queries, concurrency=1).take_all()
+    for i, (p, pp) in enumerate(shapes):
+        got = sorted((r for r in rows if r["query_id"] == i),
+                     key=lambda r: r["rank"])
+        want = search_one(built_index, q, page=p, per_page=pp)
+        lo = (want["page"] - 1) * want["per_page"]
+        assert [r["rank"] for r in got] == list(
+            range(lo + 1, lo + 1 + len(want["results"]))), (p, pp)
+        assert [{k: r[k] for k in want["results"][0]} for r in got] == \
+            want["results"], (p, pp)
+        for r in got:
+            assert (r["total_results"], r["total_pages"]) == (
+                want["total_results"], want["total_pages"])
+
+
+@pytest.mark.parametrize("query", GOLDEN_QUERIES)
+def test_wand_envelope_equals_bm25_with_exact_totals(built_index, index, query):
+    """bm25_wand is bm25: same envelopes on pages 1, 2 and past the end,
+    and total_results is the exact match count, not a bound."""
+    n = len(score_bm25_taat(index, query)[0])
+    for page in (1, 2, (n + 9) // 10 + 3):
+        wand = search_one(built_index, query, page=page, mode="bm25_wand")
+        assert wand == search_one(built_index, query, page=page, mode="bm25")
+        assert wand["total_results"] == n
+        assert wand["total_pages"] == (n + 9) // 10
+
+
+def test_unknown_mode_raises_at_construction(built_index):
+    from uci_searchengine_ray.pipelines.search import QueryScorer
+
+    with pytest.raises(ValueError, match="unknown scoring mode"):
+        QueryScorer(built_index, mode="bm25_blockmax")
+
+
 def test_wand_page_past_end_total(built_index, monkeypatch):
-    """bm25_wand cuts at max(need, top_k), so its total is a lower bound.
-    A page past the last hit re-asks for totals with the SAME need as its
-    scoring call: one scoring call (the scorer's memo), and a total no
-    smaller than a valid earlier page reported."""
+    """A page past the last hit still reports the exact totals, from the
+    same single scoring call as its (empty) page."""
     from uci_searchengine_ray.pipelines import search as S
 
     q = "the self value"
@@ -138,6 +178,6 @@ def test_wand_page_past_end_total(built_index, monkeypatch):
     monkeypatch.setattr(S, "score_bm25_wand", counted)
     past = S.search_with_scorer(scorer, q, page=last + 25, per_page=10)
     assert past["results"] == []
-    assert past["total_results"] >= valid["total_results"]
-    assert past["total_pages"] >= valid["total_pages"]
+    assert past["total_results"] == n
+    assert past["total_pages"] == valid["total_pages"]
     assert len(calls) == 1

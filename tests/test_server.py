@@ -64,6 +64,21 @@ def test_search_endpoint_matches_search_one(served):
     assert out["results"][0]["snippet"] == want["results"][0]["snippet"]
 
 
+def test_search_page_past_int64_answers_exact_totals(served):
+    """A page number past int64 is a page past the end: 200, no results,
+    the exact totals (not a 500 from an int64 conversion)."""
+    srv, port, idx = served
+    page = 10**19
+    st, out = _req(port, "GET", f"/api/search?query=value&page={page}")
+    assert st == 200
+    want = search_one(idx, "value", page=1, per_page=10)
+    assert want["total_results"] > 0
+    assert out["results"] == []
+    assert (out["page"], out["per_page"]) == (page, 10)
+    assert out["total_results"] == want["total_results"]
+    assert out["total_pages"] == want["total_pages"]
+
+
 def test_databases_and_switch(served):
     srv, port, _ = served
     st, out = _req(port, "GET", "/api/databases")

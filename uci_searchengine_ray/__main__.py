@@ -111,7 +111,9 @@ def main(argv=None) -> int:
     s.add_argument("--page", type=int, default=1)
     s.add_argument("--per-page", type=int, default=10)
     s.add_argument("--scorer", default="reference",
-                   choices=["reference", "bm25", "bm25_wand"])
+                   choices=["reference", "bm25", "bm25_wand"],
+                   help="reference tf·idf, or exact BM25 (bm25 and "
+                        "bm25_wand are one mode; totals are exact in both)")
 
     ph = sub.add_parser("phrase", help="exact phrase search (positional index)")
     ph.add_argument("--index", required=True)
@@ -125,7 +127,9 @@ def main(argv=None) -> int:
     sv.add_argument("--catalog-root")
     sv.add_argument("--port", type=int, default=8080)
     sv.add_argument("--scorer", default="reference",
-                    choices=["reference", "bm25", "bm25_wand"])
+                    choices=["reference", "bm25", "bm25_wand"],
+                    help="reference tf·idf, or exact BM25 (bm25 and "
+                         "bm25_wand are one mode; totals are exact in both)")
     sv.add_argument("--secret-key")
     sv.add_argument("--pages", help="page table parquet for /api/crawler/start")
     sv.add_argument("--seed", action="append", default=[],

@@ -1,15 +1,17 @@
 """Query engine: snapshot reader, reference tf·idf scorer (conformance mode),
 one exact BM25 scorer (term-at-a-time into a dense accumulator over doc
-ordinals, with an optional top-k cut), and the stateful
-``QueryScorer`` actor-pool stage (SURVEY.md §2.3 T4, §7 step 4).
+ordinals, with an optional top-k cut), and ``QueryScorer``, whose
+``search`` is the one query path: HTTP, CLI, Ray replicas and the
+``map_batches`` stage all answer through it (SURVEY.md §2.3 T4, §7 step 4).
 
 The reference's ``SearchService.search`` (search.py:67-126) is rebuilt as:
-  - index state loaded ONCE per actor in ``__init__`` (term dictionary + df,
-    corpus stats, posting blocks) — vs the reference's per-(term,doc) SQLite
-    round-trips (search.py:18-39);
+  - index state loaded ONCE per scorer in ``__init__`` (term dictionary +
+    df, corpus stats, posting blocks) — vs the reference's per-(term,doc)
+    SQLite round-trips (search.py:18-39);
   - per-doc token length read from the posting itself — vs re-tokenizing the
     whole doc per query term (search.py:92, the O(|q|·|d|) hot spot);
-  - snippets fetched only for the returned page via DocStore point lookups.
+  - snippets fetched only for the returned page via DocStore point lookups;
+  - exact total_results / total_pages in every mode (search.py:119-126).
 
 Reference scoring mode implements SURVEY.md §1.4 exactly: duplicate query
 terms contribute per occurrence in token order (search.py:89), tf = count /
@@ -429,7 +431,8 @@ def score_bm25_taat(
     doc id.  Ordinals sort as doc ids do.
 
     ``stats`` (if given) receives ``blocks_decoded`` (posting blocks this
-    call decoded) and ``blocks_total`` (the query terms' blocks).
+    call decoded), ``blocks_total`` (the query terms' blocks) and ``hits``
+    (the exact number of matching docs, before the top-k cut).
     """
     tokens = TOKENIZERS["code"](query)
     uniq = sorted(set(t for t in tokens if t in index))
@@ -438,6 +441,7 @@ def score_bm25_taat(
     if stats is not None:
         stats["blocks_decoded"] = index.blocks_decoded - decoded_before
         stats["blocks_total"] = sum(index.n_blocks(t) for t in uniq)
+        stats["hits"] = 0
     if not uniq:
         return np.empty(0, dtype=np.int64), np.empty(0)
     acc = np.bincount(
@@ -447,6 +451,8 @@ def score_bm25_taat(
     # every contribution is > 0 (tf >= 1, and idf > 0 because df <= N), so
     # the matched docs are exactly the nonzero accumulator slots
     hit = np.flatnonzero(acc)
+    if stats is not None:
+        stats["hits"] = len(hit)
     scores = acc[hit]
     if top_k is not None and 0 < top_k < len(hit):
         kth = np.partition(scores, len(scores) - top_k)[len(scores) - top_k]
@@ -467,21 +473,21 @@ def score_bm25_wand(
 
 
 # ---------------------------------------------------------------------------
-# actor-pool serving stage
+# serving: the one query path
 # ---------------------------------------------------------------------------
 
 class QueryScorer:
-    """Stateful query-scoring stage for
-    ``queries_ds.map_batches(QueryScorer, fn_constructor_kwargs=..., concurrency=N)``.
+    """One warm query engine over a snapshot.  ``__init__`` loads the term
+    stats, the posting-block metadata and the doc store once; ``search``
+    answers one (query, page, per_page) with the reference envelope
+    (search.py:119-126).  ``__call__`` is the same answer as a stage for
+    ``queries_ds.map_batches(QueryScorer, fn_constructor_kwargs=...)``.
 
-    ``__init__`` (once per actor) loads the posting blocks, term stats and the
-    doc store; ``__call__`` scores a batch of queries.  Modes:
+    Modes:
       - "reference": exact §1.4 tf·idf conformance scoring
-      - "bm25":      exact BM25, full ranking (``score_bm25_taat``)
-      - "bm25_wand": the same scorer cut at top k (``score_bm25_wand``).
-        NOTE: it truncates at max(need, top_k), so the envelope's
-        total_results/total_pages are LOWER BOUNDS (exact once the true
-        hit count is below the cut); reference/bm25 totals are exact.
+      - "bm25" / "bm25_wand" (one mode, two names): exact BM25 ranked down
+        to max(page · per_page, top_k) (``score_bm25_wand``).
+    ``total_results`` / ``total_pages`` are exact in every mode.
     """
 
     def __init__(
@@ -490,103 +496,93 @@ class QueryScorer:
         mode: str = "reference",
         top_k: int = 100,
         with_snippets: bool = True,
-        shards: Optional[Sequence[int]] = None,
-        preload: bool = False,
     ):
-        self.index = PostingsIndex(index_dir, shards=shards, preload=preload)
+        if mode not in ("reference", "bm25", "bm25_wand"):
+            raise ValueError(f"unknown scoring mode {mode!r}")
+        self.index = PostingsIndex(index_dir)
         self.mode = mode
         self.top_k = top_k
-        self.with_snippets = with_snippets
         self.docstore = DocStore(index_dir) if with_snippets else None
-        self._last: Optional[Tuple] = None  # (query, need_key, ids, scores)
+        self._last: Optional[Tuple] = None  # (query, cut, ids, scores, total)
 
-    def _score(self, query: str, need: int) -> Tuple[np.ndarray, np.ndarray]:
-        # memoize the last query: a page request past the results re-asks
-        # for totals (search_with_scorer), which must not rescore everything
-        need_key = (
-            max(need, self.top_k) if self.mode == "bm25_wand" else None
-        )
-        if self._last is not None and self._last[:2] == (query, need_key):
-            return self._last[2], self._last[3]
-        if self.mode == "reference":
-            out = score_reference(self.index, query)
-        elif self.mode == "bm25":
-            out = score_bm25_taat(self.index, query, top_k=None)
-        elif self.mode == "bm25_wand":
-            out = score_bm25_wand(self.index, query, top_k=need_key)
+    def _score(self, query: str, need: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """(ids, scores, total): the ranking, at least its first ``need``
+        docs, and the exact match count.  The last query is memoized, so
+        its other pages inside the same cut do not score again."""
+        cut = None if self.mode == "reference" else max(need, self.top_k)
+        if self._last is not None and self._last[:2] == (query, cut):
+            return self._last[2:]
+        if cut is None:
+            ids, scores = score_reference(self.index, query)
+            total = len(ids)
         else:
-            raise ValueError(f"unknown scoring mode {self.mode!r}")
-        self._last = (query, need_key, out[0], out[1])
-        return out
+            st: dict = {}
+            ids, scores = score_bm25_wand(self.index, query, top_k=cut, stats=st)
+            total = st["hits"]
+        self._last = (query, cut, ids, scores, total)
+        return ids, scores, total
+
+    def search(self, query: str, page: int = 1, per_page: int = 10) -> dict:
+        """The envelope for one page of ``query``'s ranking.  ``page`` and
+        ``per_page`` clamp to at least 1 (a negative page would slice the
+        ranking's tail); a page past the last hit has no results and the
+        exact totals."""
+        page, per_page = max(1, int(page)), max(1, int(per_page))
+        lo = (page - 1) * per_page
+        ids, scores, total = self._score(query, need=lo + per_page)
+        page_ids = ids[lo:lo + per_page].tolist()
+        page_scores = scores[lo:lo + per_page].tolist()
+        meta: Dict[int, dict] = {}
+        if self.docstore is not None and page_ids:
+            meta = self.docstore.fetch(page_ids)
+        # snippet highlight terms follow the SCORING tokenizer: in code
+        # modes a doc may match only via split sub-tokens, which the
+        # reference tokenizer would not find in the text
+        qterms = TOKENIZERS[
+            "reference" if self.mode == "reference" else "code"
+        ](query)
+        results = []
+        for doc_id, score in zip(page_ids, page_scores):
+            d = meta.get(doc_id, {})
+            results.append({
+                "url": d.get("url", ""),
+                "title": d.get("title", ""),
+                "snippet": (build_snippet(d.get("content") or "", qterms)
+                            if self.docstore is not None else ""),
+                "score": score,
+                "doc_id": doc_id,
+            })
+        return {
+            "query": query,
+            "total_results": total,
+            "page": page,
+            "per_page": per_page,
+            "total_pages": (total + per_page - 1) // per_page,  # search.py:124
+            "results": results,
+        }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["query_id"].to_pylist()
-        queries = batch["query"].to_pylist()
-        pages = (
-            batch["page"].to_pylist()
-            if "page" in batch.column_names
-            else [1] * len(qids)
+        """One ``RESULT_SCHEMA`` row per result of :meth:`search` for each
+        (query_id, query[, page, per_page]) row; only a null or absent page
+        / per_page takes its default (1 / 10)."""
+        n = batch.num_rows
+        pages, pps = (
+            batch[c].to_pylist() if c in batch.column_names else [None] * n
+            for c in ("page", "per_page")
         )
-        pps = (
-            batch["per_page"].to_pylist()
-            if "per_page" in batch.column_names
-            else [10] * len(qids)
-        )
-
-        out = {k: [] for k in (
-            "query_id", "rank", "doc_id", "score", "url", "title", "snippet",
-            "total_results", "total_pages",
-        )}
-        for qid, query, page, per_page in zip(qids, queries, pages, pps):
-            # clamp: a negative page would slice from the TAIL of the
-            # ranking (python negative indexing) with negative ranks
-            page = max(1, int(page or 1))
-            per_page = max(1, int(per_page or 10))
-            ids, scores = self._score(query, need=page * per_page)
-            total = len(ids)
-            total_pages = (total + per_page - 1) // per_page  # search.py:124
-            lo, hi = (page - 1) * per_page, (page - 1) * per_page + per_page
-            page_ids, page_scores = ids[lo:hi], scores[lo:hi]
-
-            meta: Dict[int, dict] = {}
-            if self.docstore is not None and len(page_ids):
-                meta = self.docstore.fetch(page_ids.tolist())
-            # snippet highlight terms follow the SCORING tokenizer: in code
-            # modes a doc may match only via split sub-tokens, which the
-            # reference tokenizer would not find in the text
-            qterms = TOKENIZERS[
-                "reference" if self.mode == "reference" else "code"
-            ](query)
-            for r, (doc_id, score) in enumerate(zip(page_ids, page_scores)):
-                d = meta.get(int(doc_id), {})
-                out["query_id"].append(qid)
-                out["rank"].append(lo + r + 1)
-                out["doc_id"].append(int(doc_id))
-                out["score"].append(float(score))
-                out["url"].append(d.get("url", ""))
-                out["title"].append(d.get("title", ""))
-                out["snippet"].append(
-                    build_snippet(d.get("content") or "", qterms)
-                    if self.docstore is not None
-                    else ""
-                )
-                out["total_results"].append(total)
-                out["total_pages"].append(total_pages)
-
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], pa.int64()),
-                "rank": pa.array(out["rank"], pa.int32()),
-                "doc_id": pa.array(out["doc_id"], pa.int64()),
-                "score": pa.array(out["score"], pa.float64()),
-                "url": pa.array(out["url"], pa.string()),
-                "title": pa.array(out["title"], pa.string()),
-                "snippet": pa.array(out["snippet"], pa.string()),
-                "total_results": pa.array(out["total_results"], pa.int64()),
-                "total_pages": pa.array(out["total_pages"], pa.int64()),
-            },
-            schema=RESULT_SCHEMA,
-        )
+        rows = []
+        for qid, query, page, per_page in zip(
+            batch["query_id"].to_pylist(), batch["query"].to_pylist(),
+            pages, pps,
+        ):
+            env = self.search(query, 1 if page is None else page,
+                              10 if per_page is None else per_page)
+            lo = (env["page"] - 1) * env["per_page"]
+            for rank, res in enumerate(env["results"], lo + 1):
+                rows.append({"query_id": qid, "rank": rank, **res,
+                             "total_results": env["total_results"],
+                             "total_pages": env["total_pages"]})
+        return pa.Table.from_pylist(rows, schema=RESULT_SCHEMA)
 
 
 def search_batch(
@@ -631,9 +627,7 @@ class ScorerReplica:
         self._scorer = QueryScorer(index_dir, mode=mode)
 
     def search(self, query: str, page: int = 1, per_page: int = 10) -> dict:
-        return search_with_scorer(
-            self._scorer, query, page=page, per_page=per_page
-        )
+        return self._scorer.search(query, page, per_page)
 
 
 @ray.remote
@@ -839,51 +833,14 @@ def search_one(
     (search.py:119-126), computed driver-side without an actor pool.
 
     Builds a fresh scorer per call — a long-lived serving process should
-    hold one ``QueryScorer`` and call :func:`search_with_scorer` instead
-    (the REST façade does), keeping the lazy index's payload LRU warm."""
-    return search_with_scorer(
-        QueryScorer(index_dir, mode=mode), query, page=page, per_page=per_page
-    )
+    hold one ``QueryScorer`` and call its ``search`` instead (the REST
+    façade does), keeping the lazy index's payload LRU warm."""
+    return QueryScorer(index_dir, mode=mode).search(query, page, per_page)
 
 
 def search_with_scorer(
     scorer: "QueryScorer", query: str, page: int = 1, per_page: int = 10
 ) -> dict:
-    """:func:`search_one` over an existing (warm) scorer."""
-    page, per_page = max(1, int(page)), max(1, int(per_page))
-    tbl = scorer(
-        pa.table(
-            {
-                "query_id": pa.array([0], pa.int64()),
-                "query": pa.array([query], pa.string()),
-                "page": pa.array([page], pa.int64()),
-                "per_page": pa.array([per_page], pa.int64()),
-            }
-        )
-    )
-    rows = tbl.to_pylist()
-    if rows:
-        total, total_pages = rows[0]["total_results"], rows[0]["total_pages"]
-    else:
-        # page beyond the results: totals still reported (search.py:119-126);
-        # the same ``need`` as the scoring call hits the scorer's memo
-        ids, _ = scorer._score(query, need=page * per_page)
-        total = len(ids)
-        total_pages = (total + per_page - 1) // per_page
-    return {
-        "query": query,
-        "total_results": total,
-        "page": page,
-        "per_page": per_page,
-        "total_pages": total_pages,
-        "results": [
-            {
-                "url": r["url"],
-                "title": r["title"],
-                "snippet": r["snippet"],
-                "score": r["score"],
-                "doc_id": r["doc_id"],
-            }
-            for r in rows
-        ],
-    }
+    """``scorer.search``: the serving entry point, looked up on this
+    module per request."""
+    return scorer.search(query, page=page, per_page=per_page)
