@@ -43,5 +43,5 @@ def built_index(ray_session, synthetic_corpus_dir, tmp_path_factory):
     from uci_searchengine_ray.pipelines.index_build import build_index
 
     out = tmp_path_factory.mktemp("index") / "snap"
-    cfg = EngineConfig(mode="reference", block_size=32, num_shards=4, ckpt_groups=4)
+    cfg = EngineConfig(mode="reference", block_size=32, ckpt_groups=4)
     return build_index(synthetic_corpus_dir, str(out), cfg=cfg, mode="fresh")

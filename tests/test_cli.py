@@ -18,7 +18,7 @@ def test_cli_flow(ray_session, synthetic_corpus_dir, tmp_path, capsys):
     idx = str(tmp_path / "idx")
     built = _run(capsys, [
         "build", "--corpus", synthetic_corpus_dir, "--index", idx,
-        "--positions", "--shards", "2",
+        "--positions",
     ])
     assert built["n_docs"] == 600 and built["store_positions"] is True
 

@@ -93,7 +93,7 @@ def test_crawl_to_index_integration(site, tmp_path):
 
     snap = str(tmp_path / "i")
     build_index(str(cdir), snap,
-                EngineConfig(ckpt_groups=1, num_shards=2),
+                EngineConfig(ckpt_groups=1),
                 mode="fresh")
     idx = PostingsIndex(snap)
     ids, scores = score_reference(idx, "unique_term_xyz")

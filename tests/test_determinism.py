@@ -42,7 +42,7 @@ def _digest(path: str) -> str:
 def test_index_invariant_to_execution_granularity(
     ray_session, synthetic_corpus_dir, tmp_path, variant
 ):
-    base_cfg = dict(mode="reference", block_size=32, num_shards=4,
+    base_cfg = dict(mode="reference", block_size=32,
                     store_positions=True)
     ref = str(tmp_path / "ref")
     build_index(synthetic_corpus_dir, ref,

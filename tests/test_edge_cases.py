@@ -14,7 +14,7 @@ from uci_searchengine_ray.pipelines.search import (
     search_one,
 )
 
-CFG = EngineConfig(ckpt_groups=1, num_shards=2, tokenize_batch_size=4)
+CFG = EngineConfig(ckpt_groups=1, tokenize_batch_size=4)
 
 
 def _write(tmp_path, contents):
@@ -110,7 +110,7 @@ def test_store_content_false(ray_session, tmp_path):
 
     corpus = _write(tmp_path, ["alpha beta gamma", "beta gamma delta", "x y"])
     snap = str(tmp_path / "inc")
-    cfg = EngineConfig(ckpt_groups=1, num_shards=2, store_content=False)
+    cfg = EngineConfig(ckpt_groups=1, store_content=False)
     build_index(corpus, snap, cfg, mode="fresh")
     idx = PostingsIndex(snap)
     ids, scores = score_reference(idx, "alpha")
@@ -272,7 +272,7 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     from uci_searchengine_ray.functions import codecs
     from uci_searchengine_ray.stages.postings import RUN_SCHEMA, make_merge_shard
 
-    merge = make_merge_shard(block_size=128, num_shards=1)
+    merge = make_merge_shard(block_size=128)
     rows = [
         _merge_run("t", list(range(128))),          # docs 0..127
         _merge_run("t", [127, 129]),                # 127 again → boundary dup

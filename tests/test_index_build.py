@@ -43,7 +43,7 @@ def blocks(built_index):
 
 def test_snapshot_layout(built_index):
     assert os.path.exists(os.path.join(built_index, "stats.json"))
-    assert glob.glob(os.path.join(built_index, "postings", "shard=*", "*.parquet"))
+    assert glob.glob(os.path.join(built_index, "postings", "*.parquet"))
     assert glob.glob(os.path.join(built_index, "term_stats", "*.parquet"))
     assert glob.glob(os.path.join(built_index, "doc_meta", "group=*", "*.parquet"))
     assert os.path.exists(os.path.join(built_index, "_manifest", "manifest.jsonl"))

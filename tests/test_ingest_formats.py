@@ -78,7 +78,7 @@ def test_jsonl_build_and_query(ray_session, jsonl_file, tmp_path):
     )
     idx = build_index(
         corpus_dir, str(tmp_path / "idx"),
-        EngineConfig(mode="reference", block_size=8, num_shards=2),
+        EngineConfig(mode="reference", block_size=8),
         mode="fresh",
     )
     out = search_one(idx, "unique_jsonl_marker", page=1, per_page=5)
@@ -113,7 +113,7 @@ def test_duplicate_texts_fail_loudly(ray_session, tmp_path):
     with pytest.raises(Exception, match="duplicate doc_id"):
         build_index(
             corpus_dir, str(tmp_path / "idx"),
-            EngineConfig(mode="reference", block_size=8, num_shards=1),
+            EngineConfig(mode="reference", block_size=8),
             mode="fresh",
         )
 

@@ -139,7 +139,7 @@ def test_build_and_query_over_2gib_corpus(ray_session, big_corpus, tmp_path):
     idx = build_index(
         corpus_dir,
         str(tmp_path / "idx"),
-        EngineConfig(mode="reference", block_size=4, num_shards=2),
+        EngineConfig(mode="reference", block_size=4),
         mode="fresh",
     )
     pi = PostingsIndex(idx)

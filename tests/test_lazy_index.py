@@ -25,7 +25,7 @@ def idx(ray_session, tmp_path_factory):
     return build_index(
         corpus,
         str(d / "idx"),
-        EngineConfig(mode="code", block_size=32, num_shards=4),
+        EngineConfig(mode="code", block_size=32),
         mode="fresh",
     )
 

@@ -70,7 +70,7 @@ corpus = write_synthetic_corpus(os.path.join(root, "corpus"), n_docs=400, n_file
 idx = build_index(
     corpus,
     os.path.join(root, "idx"),
-    EngineConfig(mode="reference", block_size=32, num_shards=4),
+    EngineConfig(mode="reference", block_size=32),
     mode="fresh",
 )
 

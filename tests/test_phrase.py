@@ -22,7 +22,7 @@ def pos_index(ray_session, tmp_path_factory):
     snap = str(root / "i")
     build_index(
         corpus, snap,
-        EngineConfig(mode="reference", block_size=16, num_shards=4,
+        EngineConfig(mode="reference", block_size=16,
                      ckpt_groups=2, store_positions=True),
         mode="fresh",
     )
@@ -74,7 +74,7 @@ def test_phrase_golden(ray_session, tmp_path):
     snap = str(tmp_path / "i")
     build_index(
         str(tmp_path / "c"), snap,
-        EngineConfig(mode="reference", ckpt_groups=1, num_shards=2,
+        EngineConfig(mode="reference", ckpt_groups=1,
                      block_size=2, store_positions=True),
         mode="fresh",
     )

@@ -1,0 +1,89 @@
+"""The postings layout: block rows carry their term's merge key, a term's
+payload scan prunes to that key's row groups, and snapshots written with
+the older ``shard=K/`` partition still load and rebuild."""
+
+import glob
+import os
+import shutil
+
+import pyarrow.compute as pc
+import pyarrow.dataset as pa_ds
+import pyarrow.parquet as pq
+import pytest
+from test_search import GOLDEN_QUERIES
+
+from uci_searchengine_ray.config import EngineConfig
+from uci_searchengine_ray.functions.hashing import term_shard
+from uci_searchengine_ray.pipelines.index_build import build_index, load_stats
+from uci_searchengine_ray.pipelines.search import PostingsIndex, search_one
+
+
+def _postings(index_dir):
+    tbl = pa_ds.dataset(os.path.join(index_dir, "postings"),
+                        format="parquet").to_table()
+    return tbl.sort_by([("term", "ascending"), ("block_id", "ascending")])
+
+
+def test_block_merge_key_is_term_key(built_index):
+    """The invariant the scan pruning relies on."""
+    n_keys = load_stats(built_index)["num_merge_groups"]
+    tbl = _postings(built_index)
+    expect = [term_shard(t, n_keys) for t in tbl["term"].to_pylist()]
+    assert tbl["merge_key"].to_pylist() == expect
+
+
+def test_term_scan_prunes_to_its_key(built_index):
+    idx = PostingsIndex(built_index)
+    term = "return"
+    key = term_shard(term, load_stats(built_index)["num_merge_groups"])
+    flt = idx._scan_filter([term])
+    kept = [rg for frag in idx._dataset.get_fragments()
+            for rg in frag.split_by_row_group(flt)]
+    total = sum(frag.metadata.num_row_groups
+                for frag in idx._dataset.get_fragments())
+    assert 1 <= len(kept) < total
+    for rg in kept:
+        (info,) = rg.row_groups
+        stats = info.statistics["merge_key"]
+        assert stats["min"] == stats["max"] == key
+    # the pruned scan reads every block of the term
+    got = idx._dataset.to_table(filter=flt)
+    assert got.num_rows == idx.n_blocks(term) > 0
+    assert set(got["term"].to_pylist()) == {term}
+
+
+@pytest.fixture(scope="module")
+def parent_layout(built_index, tmp_path_factory):
+    """A copy of ``built_index`` with its postings rewritten as older builds
+    wrote them: no ``merge_key``, and a ``shard`` column hive-partitioned
+    into ``shard=K/`` dirs."""
+    snap = str(tmp_path_factory.mktemp("parent_layout") / "snap")
+    shutil.copytree(built_index, snap)
+    post_dir = os.path.join(snap, "postings")
+    tbl = _postings(built_index).drop_columns(["merge_key"])
+    shard = pc.cast([term_shard(t, 8) for t in tbl["term"].to_pylist()], "int32")
+    tbl = tbl.add_column(1, "shard", shard)
+    shutil.rmtree(post_dir)
+    pq.write_to_dataset(tbl, post_dir, partition_cols=["shard"])
+    assert glob.glob(os.path.join(post_dir, "shard=*", "*.parquet"))
+    return snap
+
+
+@pytest.mark.parametrize("mode", ["reference", "bm25"])
+def test_parent_layout_answers_the_same(built_index, parent_layout, mode):
+    assert PostingsIndex(parent_layout)._num_keys is None  # term-only scan
+    for q in GOLDEN_QUERIES:
+        for page in (1, 2):
+            assert (search_one(parent_layout, q, page=page, mode=mode)
+                    == search_one(built_index, q, page=page, mode=mode)), q
+
+
+def test_parent_layout_rebuilds_to_new_layout(
+    built_index, parent_layout, synthetic_corpus_dir, tmp_path
+):
+    snap = str(tmp_path / "snap")
+    shutil.copytree(parent_layout, snap)
+    cfg = EngineConfig(mode="reference", block_size=32, ckpt_groups=4)
+    build_index(synthetic_corpus_dir, snap, cfg, mode="rebuild")
+    assert not glob.glob(os.path.join(snap, "postings", "shard=*"))
+    assert _postings(snap).equals(_postings(built_index))

@@ -17,7 +17,7 @@ from uci_searchengine_ray.config import EngineConfig
 from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.state import manifest
 
-CFG = EngineConfig(mode="reference", block_size=16, num_shards=4, ckpt_groups=4)
+CFG = EngineConfig(mode="reference", block_size=16, ckpt_groups=4)
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -187,7 +187,7 @@ def test_continue_ignores_crashed_group_dirs(ray_session, corpus, tmp_path_facto
         shutil.rmtree(os.path.join(snap, sub))
     os.remove(os.path.join(snap, "stats.json"))
 
-    two = EngineConfig(mode="reference", block_size=16, num_shards=4, ckpt_groups=2)
+    two = EngineConfig(mode="reference", block_size=16, ckpt_groups=2)
     build_index(corpus, snap, two, mode="continue")
 
     fresh = str(base / "fresh")
@@ -223,7 +223,7 @@ configure_data_context()
 from uci_searchengine_ray.pipelines.index_build import build_index
 
 build_index(sys.argv[1], sys.argv[2],
-            EngineConfig(mode="reference", block_size=16, num_shards=4,
+            EngineConfig(mode="reference", block_size=16,
                          ckpt_groups=4),
             mode="fresh")
 """
@@ -263,7 +263,7 @@ def test_resume_after_sigkill(ray_session, corpus, tmp_path_factory):
     assert len(manifest.completed(killed, "runs")) < len(
         manifest.completed(fresh, "runs"))
     for name, cfg in (("same", CFG), ("derived", EngineConfig(
-            mode="reference", block_size=16, num_shards=4))):
+            mode="reference", block_size=16))):
         snap = str(base / name)
         shutil.copytree(killed, snap)
         build_index(corpus, snap, cfg, mode="continue")
@@ -295,8 +295,8 @@ def test_rebuild_keeps_groups_of_pin_without_group_count(
     n_groups = len(manifest.completed(snap, "runs"))
     assert n_groups > 1
 
-    build_index(corpus, snap, EngineConfig(mode="reference", block_size=16,
-                                           num_shards=4), mode="rebuild")
+    build_index(corpus, snap, EngineConfig(mode="reference", block_size=16),
+                mode="rebuild")
     assert {f: os.path.getmtime(f) for f in runs_files} == mtimes
     assert len(manifest.completed(snap, "runs")) == n_groups
     assert _dir_digest(snap) == d1
@@ -320,6 +320,6 @@ def test_noop_continue_reads_no_footers(
 
     monkeypatch.setattr(index_build.storage, "parquet_rows", boom)
     monkeypatch.setattr(index_build.ray, "cluster_resources", boom)
-    for cfg in (CFG, EngineConfig(mode="reference", block_size=16, num_shards=4)):
+    for cfg in (CFG, EngineConfig(mode="reference", block_size=16)):
         build_index(corpus, snap, cfg, mode="continue")
     assert _dir_digest(snap) == d1

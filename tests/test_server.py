@@ -9,7 +9,7 @@ import pytest
 from uci_searchengine_ray.config import EngineConfig
 from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.pipelines.search import search_one
-from uci_searchengine_ray.server import SearchServer
+from uci_searchengine_ray.server import MAX_PER_PAGE, SearchServer
 from uci_searchengine_ray.sources.catalog import SnapshotCatalog
 from uci_searchengine_ray.sources.corpus import write_synthetic_corpus
 
@@ -20,12 +20,12 @@ def served(ray_session, tmp_path_factory):
     corpus = write_synthetic_corpus(str(root / "corpus"), n_docs=200, n_files=2)
     idx_a = build_index(
         corpus, str(root / "idx_a"),
-        EngineConfig(mode="reference", block_size=32, num_shards=2),
+        EngineConfig(mode="reference", block_size=32),
         mode="fresh",
     )
     idx_b = build_index(
         corpus, str(root / "idx_b"),
-        EngineConfig(mode="reference", block_size=32, num_shards=2),
+        EngineConfig(mode="reference", block_size=32),
         mode="fresh",
     )
     cat = SnapshotCatalog(str(root / "cat"))
@@ -77,6 +77,28 @@ def test_search_page_past_int64_answers_exact_totals(served):
     assert (out["page"], out["per_page"]) == (page, 10)
     assert out["total_results"] == want["total_results"]
     assert out["total_pages"] == want["total_pages"]
+
+
+def test_search_per_page_is_bounded(served):
+    """per_page above MAX_PER_PAGE answers 400 before any scoring or replica
+    dispatch; per_page at the bound answers search_one's envelope."""
+    srv, port, idx = served
+    st, out = _req(port, "GET", f"/api/search?query=the&per_page={MAX_PER_PAGE + 1}")
+    assert st == 400 and "per_page" in out["detail"]
+    st, out = _req(port, "GET", f"/api/search?query=the&per_page={MAX_PER_PAGE}")
+    assert st == 200
+    want = search_one(idx, "the", page=1, per_page=MAX_PER_PAGE)
+    assert len(want["results"]) == MAX_PER_PAGE
+    assert out == json.loads(json.dumps(want))
+
+    rsrv = SearchServer(index_dir=idx, scorer_replicas=1)
+    rport = rsrv.serve()
+    try:
+        st, _ = _req(rport, "GET", f"/api/search?query=the&per_page={MAX_PER_PAGE + 1}")
+        assert st == 400
+        assert not rsrv._replica_pool  # refused before a replica was spawned
+    finally:
+        rsrv.close()
 
 
 def test_databases_and_switch(served):
@@ -145,7 +167,7 @@ def crawl_served(ray_session, tmp_path_factory):
     corpus = write_synthetic_corpus(str(root / "corpus"), n_docs=100, n_files=2)
     idx = build_index(
         corpus, str(root / "idx"),
-        EngineConfig(mode="reference", block_size=32, num_shards=2),
+        EngineConfig(mode="reference", block_size=32),
         mode="fresh",
     )
     cat = SnapshotCatalog(str(root / "cat"))
@@ -489,7 +511,7 @@ def test_switch_under_load(served, tmp_path):
                                     n_files=1)
     idx_c = build_index(
         corpus, str(tmp_path / "idx_c"),
-        EngineConfig(mode="reference", block_size=32, num_shards=2),
+        EngineConfig(mode="reference", block_size=32),
         mode="fresh",
     )
     srv._catalog.register("snap_c", idx_c)

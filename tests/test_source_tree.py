@@ -39,7 +39,7 @@ def test_source_tree_ingest_to_search(ray_session, tmp_path):
     )]), str(cdir / "p.parquet"))
     snap = str(tmp_path / "i")
     build_index(str(cdir), snap,
-                EngineConfig(mode="code", ckpt_groups=1, num_shards=2),
+                EngineConfig(mode="code", ckpt_groups=1),
                 mode="fresh")
     assert load_stats(snap)["n_docs"] == 3
     idx = PostingsIndex(snap)

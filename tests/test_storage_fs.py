@@ -62,7 +62,7 @@ def test_generic_fs_is_not_local(mockfs_scheme):
 def test_build_and_query_through_generic_fs(
     ray_session, mockfs_scheme, corpus, tmp_path
 ):
-    cfg = EngineConfig(mode="reference", block_size=32, num_shards=4,
+    cfg = EngineConfig(mode="reference", block_size=32,
                       ckpt_groups=2)
     local_idx = str(tmp_path / "idx_local")
     build_index(corpus, local_idx, cfg, mode="fresh")
@@ -101,7 +101,7 @@ def test_resume_noop_and_rebuild_through_generic_fs(
 ):
     import time
 
-    cfg = EngineConfig(mode="reference", block_size=32, num_shards=4,
+    cfg = EngineConfig(mode="reference", block_size=32,
                       ckpt_groups=2)
     idx = "mockfs://snapshots/idx_resume"
     build_index(corpus, idx, cfg, mode="fresh")
@@ -126,7 +126,7 @@ def test_partial_build_resumes_missing_groups(
 ):
     """Crash-mid-build simulation on the generic fs: drop one group's
     manifest row + outputs, resume, and get identical final stats."""
-    cfg = EngineConfig(mode="reference", block_size=32, num_shards=4,
+    cfg = EngineConfig(mode="reference", block_size=32,
                       ckpt_groups=2)
     idx = "mockfs://snapshots/idx_partial"
     build_index(corpus, idx, cfg, mode="fresh")
@@ -168,7 +168,7 @@ def test_incremental_ingest_through_generic_fs(
     )
     from uci_searchengine_ray.sources.corpus import synthetic_corpus_table
 
-    cfg = EngineConfig(mode="reference", block_size=32, num_shards=4,
+    cfg = EngineConfig(mode="reference", block_size=32,
                       ckpt_groups=3)
     cdir = str(tmp_path / "corpus")
     write_synthetic_corpus(cdir, n_docs=160, n_files=4)

@@ -40,7 +40,7 @@ def medium_index(ray_session, tmp_path_factory):
     snap = str(root / "idx")
     build_index(
         corpus, snap,
-        EngineConfig(mode="code", block_size=32, num_shards=4, ckpt_groups=1),
+        EngineConfig(mode="code", block_size=32, ckpt_groups=1),
         mode="fresh",
     )
     return PostingsIndex(snap)
@@ -83,7 +83,7 @@ def test_bm25_matches_reference_on_random_corpora(ray_session, tmp_path_factory)
         )
         snap = build_index(
             str(root / "c"), str(root / "idx"),
-            EngineConfig(mode="code", block_size=2, num_shards=2, ckpt_groups=1),
+            EngineConfig(mode="code", block_size=2, ckpt_groups=1),
             mode="fresh",
         )
         index = PostingsIndex(snap)

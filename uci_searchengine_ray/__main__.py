@@ -92,7 +92,6 @@ def main(argv=None) -> int:
     b.add_argument("--mode", default="fresh", choices=["fresh", "continue", "rebuild"])
     b.add_argument("--tokenizer", default="reference", choices=["reference", "code"])
     b.add_argument("--positions", action="store_true")
-    b.add_argument("--shards", type=int, default=8)
 
     ing = sub.add_parser(
         "ingest",
@@ -178,7 +177,6 @@ def main(argv=None) -> int:
         cfg = EngineConfig(
             mode=args.tokenizer,
             store_positions=args.positions,
-            num_shards=args.shards,
         )
         build_index(args.corpus, args.index, cfg, mode=args.mode)
         print(json.dumps({"index": args.index, **load_stats(args.index)}))
@@ -267,7 +265,7 @@ def main(argv=None) -> int:
         from .pipelines.export import export_pretraining
 
         res = export_pretraining(
-            args.sf, args.out, num_shards=args.shards, resume=args.resume
+            args.sf, args.out, n_shards=args.shards, resume=args.resume
         )
         print(json.dumps(res))
 

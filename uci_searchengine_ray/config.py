@@ -17,9 +17,6 @@ class EngineConfig:
     # posting-block size (postings per block)
     block_size: int = 128
 
-    # index shards: postings partitioned by hash(term) % num_shards
-    num_shards: int = 8
-
     # tokenize-stage batch size (docs per batch).  Bigger batches mean fewer
     # phase-1 runs per term (runs ≈ n_batches × batch vocab), which is the
     # main phase-2 shuffle-size lever — but batch bytes × concurrency must

@@ -1,5 +1,5 @@
 """Hashing utilities: content sha256 invariant, deterministic doc ids, rolling
-fingerprints, term sharding.
+fingerprints, term merge keys.
 
 - ``content_sha256`` mirrors the reference's url-hash helper
   (utils/__init__.py:25-31, sha256 hexdigest) applied to document content; it is
@@ -35,16 +35,11 @@ def stable_doc_id(repo: str, path: str, commit: str) -> int:
     return int.from_bytes(h[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def term_shard(term: str, num_shards: int) -> int:
-    """Stable shard assignment for a term (index partitioning key)."""
+def term_shard(term: str, num_keys: int) -> int:
+    """Stable merge key of a term, in ``range(num_keys)``: the index build
+    co-locates a term's runs and blocks by it."""
     h = hashlib.md5(term.encode("utf-8"), usedforsecurity=False).digest()
-    return int.from_bytes(h[:4], "big") % num_shards
-
-
-def term_shard_batch(terms, num_shards: int) -> np.ndarray:
-    return np.fromiter(
-        (term_shard(t, num_shards) for t in terms), dtype=np.int32, count=len(terms)
-    )
+    return int.from_bytes(h[:4], "big") % num_keys
 
 
 def rolling_fingerprint(text: str) -> int:

@@ -43,13 +43,13 @@ _KNUTH = np.uint64(2654435761)
 _M32 = np.uint64(1 << 32)
 
 
-def _shard_of(ids: np.ndarray, num_shards: int) -> np.ndarray:
+def _shard_of(ids: np.ndarray, n_shards: int) -> np.ndarray:
     h = ((ids.astype(np.uint64) % _M32) * _KNUTH) % _M32
-    return (h % np.uint64(num_shards)).astype(np.int64)
+    return (h % np.uint64(n_shards)).astype(np.int64)
 
 
 def keep_list(
-    sf_dir: str, num_shards: int = EXPORT_SHARDS
+    sf_dir: str, n_shards: int = EXPORT_SHARDS
 ) -> "ray.data.Dataset":
     """(doc_id, lang, n_tokens, n_chars, shard) for every exported doc:
     curate survivors minus contaminated docs, minus the eval split itself
@@ -116,7 +116,7 @@ def keep_list(
     def finalize(batch: pa.Table) -> pa.Table:
         out = batch.filter(pc.invert(batch["drop"])).drop_columns(["drop"])
         sh = _shard_of(
-            out["doc_id"].to_numpy(zero_copy_only=False), num_shards
+            out["doc_id"].to_numpy(zero_copy_only=False), n_shards
         )
         return out.append_column("shard", pa.array(sh, pa.int64()))
 
@@ -142,11 +142,11 @@ def keep_list(
 
 
 def export_shards_summary(
-    sf_dir: str, num_shards: int = EXPORT_SHARDS
+    sf_dir: str, n_shards: int = EXPORT_SHARDS
 ) -> "ray.data.Dataset":
     """Per-shard export manifest: (shard, n_docs, n_tokens, n_chars)."""
     return (
-        keep_list(sf_dir, num_shards)
+        keep_list(sf_dir, n_shards)
         .groupby("shard")
         .aggregate(
             Count(alias_name="n_docs"),
@@ -191,7 +191,7 @@ class _TextJoin:
 
 
 def export_pretraining(
-    sf_dir: str, out_dir: str, num_shards: int = EXPORT_SHARDS,
+    sf_dir: str, out_dir: str, n_shards: int = EXPORT_SHARDS,
     resume: bool = False,
 ) -> dict:
     """Write the export: ``out_dir/keeplist/`` (doc_id-sorted keep-list
@@ -238,9 +238,9 @@ def export_pretraining(
 
     if not (resume and os.path.isdir(kl_dir) and os.listdir(kl_dir)):
         os.makedirs(kl_dir, exist_ok=True)
-        write_doc_sorted(keep_list(sf_dir, num_shards), kl_dir, _KEEP_SCHEMA)
+        write_doc_sorted(keep_list(sf_dir, n_shards), kl_dir, _KEEP_SCHEMA)
 
-    if len(done_shards) < num_shards:
+    if len(done_shards) < n_shards:
         docs = ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet")
         )
@@ -256,7 +256,7 @@ def export_pretraining(
                 open(os.path.join(p, _COMPLETE), "w").close()
 
     return {
-        "shards": num_shards,
+        "shards": n_shards,
         "docs": parquet_rows(data_dir),
         "data_dir": data_dir,
         "skipped_shards": sorted(done_shards),

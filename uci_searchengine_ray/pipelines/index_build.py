@@ -17,7 +17,9 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     one task per CPU, each over a slice of the merge keys; per key it reads
     that key's run files of the manifest's groups ONCE and merges its terms
     (no groupby/sort — data is already co-located by key), yielding one
-    table per key → postings/shard=K/ (partition_cols=["shard"])
+    block table per key, tagged with its merge_key → one postings file per
+    task, one row group per key (the query side prunes a term's read to
+    its key's row groups)
     term_stats (term, df) computed PER MERGE KEY inside the same task from
     the (term, n) columns of the table it merges — per-key memory is
     bounded by vocab/keys and the driver never materializes the
@@ -56,6 +58,7 @@ import os
 import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import pyarrow as pa
 import pyarrow.dataset as pa_ds
 
 import ray.data
@@ -337,14 +340,14 @@ def build_index(
         for sub in (STAGE_POSTINGS, "term_stats"):
             storage.rm_tree(fs, storage.join(root, sub))
 
-    # ---- phase 2: merge runs → blocks → sharded parquet (NO shuffle:
+    # ---- phase 2: merge runs → blocks → postings parquet (NO shuffle:
     # runs are already key-partitioned on disk).  The driver lists the
     # manifest groups' run files once; one task per CPU takes a slice of
     # the keys and, per key, reads that key's files once, derives the key's
     # term_stats slice from the (term, n) columns of the same table and
     # yields the key's blocks — no driver-side vocabulary aggregate. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
-        merge = make_merge_shard(block_size=cfg.block_size, num_shards=cfg.num_shards)
+        merge = make_merge_shard(block_size=cfg.block_size)
         key_paths: Dict[int, List[str]] = {k: [] for k in range(n_keys)}
         for part in parts:
             gdir = storage.join(root, STAGE_RUNS, part)
@@ -375,7 +378,9 @@ def build_index(
                     storage.write_table_idempotent(
                         fs, ts, ts_dir, f"ts-key{key}.parquet"
                     )
-                yield merge(tbl)
+                out = merge(tbl)
+                yield out.add_column(1, "merge_key", pa.array(
+                    [key] * out.num_rows, pa.int32()))
 
         # ≤ ceil(keys / ncpu) keys per block, one block per task
         keys = ray.data.from_items(
@@ -384,9 +389,7 @@ def build_index(
         )
         blocks = keys.map_batches(merge_keys, batch_format="pyarrow", batch_size=None)
         postings_staged = storage.StagedDir(fs, storage.join(root, STAGE_POSTINGS))
-        blocks.write_parquet(
-            postings_staged.path, filesystem=fs, partition_cols=["shard"]
-        )
+        blocks.write_parquet(postings_staged.path, filesystem=fs)
         postings_staged.commit()
 
         n_terms = storage.parquet_rows(ts_dir, fs)
@@ -397,7 +400,6 @@ def build_index(
             "n_terms": n_terms,
             "mode": cfg.mode,
             "block_size": cfg.block_size,
-            "num_shards": cfg.num_shards,
             "num_merge_groups": n_keys,
             "store_positions": cfg.store_positions,
             "bm25_k1": cfg.bm25_k1,

@@ -266,7 +266,7 @@ def pack_sequences(
 
     Same bucketed prefix-sum as token_budget_mix, ungrouped (one global
     stream); sequences can be dealt to shards afterwards by
-    seq_id % num_shards without breaking determinism."""
+    seq_id % n without breaking determinism."""
     cum = running_total(_token_base(sf_dir), "n_tokens", group_col=None)
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -4,7 +4,8 @@ SURVEY §2.10 (round 1 shipped only the CLI half).
 
 Endpoints (GET unless noted), mirroring the reference's shapes:
   /api/search?query=&page=&per_page=      routes.py:378-387 → search envelope
-                                          (search.py:119-126 shape)
+                                          (search.py:119-126 shape; 400 when
+                                          per_page > MAX_PER_PAGE)
   /api/databases                          routes.py:62-72   → snapshot catalog
   /api/databases/switch  POST {db_name}   routes.py:73-86   → switch active
   /api/databases/{name}  DELETE           routes.py:87-115  → delete snapshot
@@ -49,6 +50,12 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 # seconds a request waits for its replica's answer: covers a cold replica
 # (actor process spawn + QueryScorer init); past it the request gets 504
 REPLICA_TIMEOUT_S = 30.0
+
+# largest per_page /api/search answers (400 above it): EngineConfig.top_k,
+# the depth BM25 ranks to by default.  One request ranks, fetches and
+# snippets its whole page (in-process: under the scorer lock), so an
+# unbounded page would be an unbounded hold
+MAX_PER_PAGE = 100
 
 
 def _ws_frame(opcode: int, payload: bytes) -> bytes:
@@ -404,6 +411,8 @@ class SearchServer:
                 per_page = int((query.get("per_page") or ["10"])[0])
             except ValueError:
                 return 400, {"detail": "page/per_page must be integers"}
+            if per_page > MAX_PER_PAGE:
+                return 400, {"detail": f"per_page must be at most {MAX_PER_PAGE}"}
             if self._replicas:
                 return self._replica_search(q, page, per_page)
             return 200, self._local_search(q, page, per_page)

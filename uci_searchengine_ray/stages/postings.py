@@ -19,11 +19,12 @@ delta+varbyte-compressed posting blocks in two stages:
       re-encoded into fixed-size blocks with df; many terms merge in one
       vectorized call (no per-term Ray scheduling).  ``build_index`` derives
       the key count from the corpus size (at least 64, ~7.8k docs per key
-      past 500k docs), so one key's postings stay worker-sized; stopword filtering in code
-      mode removes the worst Zipf offenders outright.
+      past 500k docs), so one key's postings stay worker-sized; stopword
+      filtering in code mode removes the worst Zipf offenders outright.
 
-Block rows carry ``shard = hash(term) % num_shards`` for partitioned output —
-one directory per shard, the unit of query-side placement.
+``build_index`` adds each block row's ``merge_key`` and writes one postings
+file per merge task, one row group per key, so the query side prunes a
+term's read to its key's row groups.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ RUN_SCHEMA = pa.schema(
 BLOCK_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
-        ("shard", pa.int32()),
         ("df", pa.int64()),
         ("block_id", pa.int32()),
         ("n", pa.int32()),
@@ -257,9 +257,9 @@ class TokenizeEncodeRuns:
         )
 
 
-def make_merge_shard(block_size: int, num_shards: int) -> Callable[[pa.Table], pa.Table]:
+def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
     """Phase-2 merge body factory: one merge key's runs (many terms) →
-    final block rows."""
+    final block rows (``BLOCK_SCHEMA``)."""
 
     def merge_shard_vectorized(group: pa.Table, pos_enc=None) -> pa.Table:
         """Vectorized merge: batch-decode every run in one codec pass, ONE
@@ -377,13 +377,9 @@ def make_merge_shard(block_size: int, num_shards: int) -> Callable[[pa.Table], p
         else:
             pos_b = [b""] * total_blocks
 
-        shards = np.array(
-            [term_shard(t, num_shards) for t in uniq_terms], dtype=np.int32
-        )
         return pa.table(
             {
                 "term": pa.array(uniq_terms[term_of_block], pa.string()),
-                "shard": pa.array(shards[term_of_block], pa.int32()),
                 "df": pa.array(dfs[term_of_block], pa.int64()),
                 "block_id": pa.array(blk_within.astype(np.int32), pa.int32()),
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
