@@ -7,13 +7,19 @@ import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
 
+    # Ray workers import the package through PYTHONPATH, not through this
+    # process's sys.path, so pytest may run from any directory
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+    )
     ray.init(
         address="local",
         num_cpus=4,

@@ -70,9 +70,9 @@ def test_empty_corpus_file(ray_session, tmp_path):
 
 def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
     """Fault injection: a doc_meta file rewritten without one row leaves
-    postings for a doc id the snapshot's doc list lacks.  A BM25 query on a
-    term of that doc raises naming the term, instead of scoring the
-    postings onto a neighbouring doc."""
+    postings whose ordinals no longer line up with the snapshot's doc list.
+    Any query raises naming doc_meta, instead of scoring postings onto a
+    neighbouring doc."""
     import glob
 
     from uci_searchengine_ray.pipelines.search import score_bm25_wand
@@ -83,15 +83,17 @@ def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
     path = sorted(glob.glob(f"{snap}/doc_meta/**/*.parquet", recursive=True))[0]
     meta = pq.read_table(path)
     victim = meta["doc_id"][0].as_py()
-    pq.write_table(meta.slice(1), path)
     term = next(
         t for t in ("alpha", "beta", "gamma")
         if victim in PostingsIndex(snap).postings(t)[0].tolist()
     )
-    with pytest.raises(ValueError, match=f"term '{term}'.*{victim}"):
+    pq.write_table(meta.slice(1), path)
+    with pytest.raises(ValueError, match="doc_meta holds 2 docs"):
         score_bm25_taat(PostingsIndex(snap), f"{term} shared")
     with pytest.raises(ValueError, match="doc_meta"):
         score_bm25_wand(PostingsIndex(snap), "shared", top_k=1)
+    with pytest.raises(ValueError, match="doc_meta"):
+        score_reference(PostingsIndex(snap), term)
 
 
 def test_all_unindexable_corpus(ray_session, tmp_path):
@@ -236,7 +238,7 @@ def test_catalog_register_same_second_collisions(tmp_path):
 
 
 def _merge_run(term: str, ids):
-    """One RUN_SCHEMA row dict for a term's (tf=1, dl=1) posting run."""
+    """One RUN_SCHEMA row dict for a term's (tf=1) posting run."""
     import numpy as np
 
     from uci_searchengine_ray.functions import codecs
@@ -253,7 +255,6 @@ def _merge_run(term: str, ids):
             codecs.delta_encode_segments(ids, starts), starts
         )[0],
         "tfs_enc": codecs.varbyte_encode_segments(ones, starts)[0],
-        "dls_enc": codecs.varbyte_encode_segments(ones, starts)[0],
         "pos_enc": b"",
     }
 
@@ -265,7 +266,9 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     before the explicit within-term validation this exact layout (merged
     postings [0..127, 127, 129] with block_size=128: positions 127/128
     straddle the boundary) was silently accepted — emitting two blocks that
-    both hold doc 127, a doc the scorer would count twice."""
+    both hold doc 127, a doc the scorer would count twice.  The doc ids
+    are their own ordinals here (the snapshot's ids are 0..129)."""
+    import numpy as np
     import pyarrow as pa
     import pytest
 
@@ -273,20 +276,25 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     from uci_searchengine_ray.stages.postings import RUN_SCHEMA, make_merge_shard
 
     merge = make_merge_shard(block_size=128)
+    doc_ids = np.arange(130)
     rows = [
         _merge_run("t", list(range(128))),          # docs 0..127
         _merge_run("t", [127, 129]),                # 127 again → boundary dup
     ]
     group = pa.Table.from_pylist(rows, schema=RUN_SCHEMA)
     with pytest.raises(ValueError, match="duplicate doc_id 127"):
-        merge(group)
+        merge(group, doc_ids)
     # same inputs without the duplicate merge cleanly into 2 blocks
     rows_ok = [
         _merge_run("t", list(range(128))),
         _merge_run("t", [128, 129]),
     ]
-    out = merge(pa.Table.from_pylist(rows_ok, schema=RUN_SCHEMA))
+    group_ok = pa.Table.from_pylist(rows_ok, schema=RUN_SCHEMA)
+    out = merge(group_ok, doc_ids)
     assert out.num_rows == 2
     assert [codecs.decode_ids(b).tolist() for b in out["doc_ids"].to_pylist()] == [
         list(range(128)), [128, 129]
     ]
+    # a run doc that the snapshot's doc list lacks cannot get an ordinal
+    with pytest.raises(ValueError, match="doc id 129, which doc_meta lacks"):
+        merge(group_ok, doc_ids[:-1])

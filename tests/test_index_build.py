@@ -62,22 +62,31 @@ def test_doc_ids_strictly_ascending(blocks):
         per_term[b["term"]] = int(ids[-1])
 
 
-def test_df_and_doclen_invariants(blocks, corpus_rows):
-    """Σ df == distinct (term,doc) pairs; Σ tf per doc == doc_len; df on every
-    block equals the term's total posting count."""
+def test_df_and_doclen_invariants(built_index, blocks, corpus_rows):
+    """Σ df == distinct (term,doc) pairs; block doc ids are ordinals into
+    the ascending doc_meta ids; Σ tf per doc == its doc_meta doc_len; df on
+    every block equals the term's total posting count."""
+    meta = pa_ds.dataset(
+        os.path.join(built_index, "doc_meta"), format="parquet"
+    ).to_table(columns=["doc_id", "doc_len"])
+    order = np.argsort(meta["doc_id"].to_numpy())
+    sorted_ids = meta["doc_id"].to_numpy()[order]
+    doc_len = dict(zip(sorted_ids.tolist(),
+                       meta["doc_len"].to_numpy()[order].tolist()))
+    n_docs = load_stats(built_index)["n_docs"]
+    assert len(sorted_ids) == n_docs
     tf_by_doc = {}
     seen_pairs = 0
     df_by_term = {}
     for b in blocks:
-        ids = codecs.decode_ids(b["doc_ids"])
+        ords = codecs.decode_ids(b["doc_ids"])
         tfs = codecs.decode_plain(b["tfs"])
-        dls = codecs.decode_plain(b["doc_lens"])
-        seen_pairs += len(ids)
-        df_by_term.setdefault(b["term"], []).append((b["df"], len(ids)))
-        for d, tf, dl in zip(ids, tfs, dls):
-            agg = tf_by_doc.setdefault(int(d), [0, int(dl)])
-            agg[0] += int(tf)
-            assert agg[1] == int(dl)  # doc_len consistent across terms
+        assert np.all(np.diff(ords) > 0) and 0 <= ords[0] and ords[-1] < n_docs
+        seen_pairs += len(ords)
+        df_by_term.setdefault(b["term"], []).append((b["df"], len(ords)))
+        for o, tf in zip(ords, tfs):
+            d = int(sorted_ids[o])
+            tf_by_doc[d] = tf_by_doc.get(d, 0) + int(tf)
 
     for term, entries in df_by_term.items():
         df = entries[0][0]
@@ -92,8 +101,8 @@ def test_df_and_doclen_invariants(blocks, corpus_rows):
         toks = tokenize_reference(row["content"])
         if toks:
             expected[row["doc_id"]] = len(toks)
-    assert {d: v[0] for d, v in tf_by_doc.items()} == expected
-    assert {d: v[1] for d, v in tf_by_doc.items()} == expected
+    assert tf_by_doc == expected
+    assert {d: doc_len[d] for d in tf_by_doc} == expected
 
 
 def test_sha256_invariant_end_to_end(built_index, corpus_rows):

@@ -32,18 +32,18 @@ def idx(ray_session, tmp_path_factory):
 
 def test_init_loads_metadata_only(idx):
     pi = PostingsIndex(idx)
-    assert pi._payload_bytes == 0          # nothing paged in yet
+    assert pi._payloads.nbytes == 0        # nothing paged in yet
     assert pi.meta_bytes > 0
     ids, scores = score_bm25_taat(pi, "return value stream")
     assert len(ids) > 0
-    assert pi._payload_bytes > 0           # query terms now resident
+    assert pi._payloads.nbytes > 0         # query terms now resident
     # payloads are a strict subset of the vocabulary
     assert len(pi._payloads) < len(list(pi.terms()))
 
 
 def test_preload_matches_lazy(idx):
     lazy, eager = PostingsIndex(idx), PostingsIndex(idx, preload=True)
-    assert eager._payload_bytes > 0 and len(eager._payloads) == len(
+    assert eager._payloads.nbytes > 0 and len(eager._payloads) == len(
         list(eager.terms())
     )
     for q in ["return value", "parse json error", "self x", "qq_missing"]:
@@ -60,18 +60,27 @@ def test_tiny_budget_evicts_but_stays_correct(idx):
     small = PostingsIndex(idx, payload_budget_bytes=1)
     queries = ["return value", "index block merge", "self data x",
                "return value"]
+    caches = (small._payloads, small._decoded, small._scored)
     for q in queries:
-        ia, ca = score_bm25_wand(small, q, top_k=10)
-        ib, cb = score_bm25_wand(ref, q, top_k=10)
-        assert np.array_equal(ia, ib) and np.array_equal(ca, cb)
-        ic, cc = score_bm25_reference(ref, q, top_k=10)
-        assert np.array_equal(ia, ic) and np.array_equal(ca, cc)
-        # the scored-postings cache obeys the byte budget, except that it
-        # never evicts the lists of the query being scored
-        terms = sorted(set(TOKENIZERS["code"](q)) & set(small.terms()))
-        this_query = sum(o.nbytes + c.nbytes
-                         for o, c in small.bm25_postings(terms))
-        assert small._scored_bytes <= max(1, this_query)
-        assert set(small._scored) == set(terms)
+        for scorer in ("bm25", "reference"):
+            if scorer == "bm25":
+                ia, ca = score_bm25_wand(small, q, top_k=10)
+                ib, cb = score_bm25_wand(ref, q, top_k=10)
+                ic, cc = score_bm25_reference(ref, q, top_k=10)
+                assert np.array_equal(ia, ic) and np.array_equal(ca, cc)
+                tokens = TOKENIZERS["code"](q)
+            else:
+                ia, ca = score_reference(small, q)
+                ib, cb = score_reference(ref, q)
+                tokens = TOKENIZERS["reference"](q)
+            assert np.array_equal(ia, ib) and np.array_equal(ca, cb)
+            # the three caches share the one byte budget, except that none
+            # evicts the entries of the query being scored
+            terms = set(tokens) & set(small.terms())
+            this_query = sum(lru._sizes[t] for lru in caches
+                             for t in terms if t in lru)
+            assert sum(lru.nbytes for lru in caches) <= max(1, this_query)
+            if scorer == "bm25":
+                assert set(small._scored) == terms
     # the 1-byte budget keeps only the most recent query's terms resident
     assert len(small._payloads) <= len("return value".split()) + 1

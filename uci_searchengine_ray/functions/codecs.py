@@ -2,9 +2,12 @@
 with numpy.
 
 The reference stores one SQLite row per posting (models.py:182-197) with no
-compression and no ordering guarantee (SURVEY.md §2.6 K5).  The rebuild requires
-doc_id-ascending posting blocks so gaps are small and delta+varbyte compresses
-them.
+compression and no ordering guarantee (SURVEY.md §2.6 K5).  The rebuild keeps
+posting lists doc-ascending and delta+varbyte-encodes them.  A posting block
+stores doc *ordinals* (dense ranks 0..N-1 of the snapshot's doc ids), so a gap
+is about N/df and mostly takes one or two bytes, plus varbyte tfs and
+optional delta-encoded positions.  Phase-1 runs still encode hashed 63-bit
+doc ids, whose gaps near 2^63/df take about 9 bytes each.
 
 Encoding: classic VByte — 7 payload bits per byte, high bit set on the LAST
 byte of each integer (terminator convention), little-endian payload order.
@@ -193,7 +196,7 @@ def decode_ids(data: bytes) -> np.ndarray:
 
 
 def encode_plain(values: np.ndarray) -> bytes:
-    """varbyte without delta (for tf / doc_len payloads, small positives)."""
+    """varbyte without delta (for tf payloads, small positives)."""
     return varbyte_encode(np.asarray(values, dtype=np.uint64))
 
 

@@ -13,10 +13,12 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
         the phase-1→2 exchange — a disk-backed shuffle with no sort.
     manifest row: {stage: runs, partition: G, docs, tokens}
 
-  phase 2 — global merge (runs are compressed, ~1-2 B/posting):
+  phase 2 — global merge (runs are compressed, ~13 B/posting):
     one task per CPU, each over a slice of the merge keys; per key it reads
     that key's run files of the manifest's groups ONCE and merges its terms
-    (no groupby/sort — data is already co-located by key), yielding one
+    (no groupby/sort — data is already co-located by key), mapping each
+    hashed doc id to its ordinal in the snapshot's ascending doc_meta ids
+    (read once by the driver, shared through one ``ray.put``), yielding one
     block table per key, tagged with its merge_key → one postings file per
     task, one row group per key (the query side prunes a term's read to
     its key's row groups)
@@ -58,6 +60,7 @@ import os
 import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pa_ds
 
@@ -69,6 +72,9 @@ from ..stages.postings import TokenizeEncodeRuns, make_merge_shard
 
 STAGE_RUNS = "runs"
 STAGE_POSTINGS = "postings"
+# stats.json "format": 2 = block doc_ids are doc ordinals and blocks carry
+# no doc lengths; snapshots without the field hold hashed ids + doc_lens
+SNAPSHOT_FORMAT = 2
 
 
 def plan_build(rows: int, ncpu: int) -> Tuple[int, int]:
@@ -261,7 +267,7 @@ def build_index(
             bs = max(1024, min(8192, -(-rows_g // ncpu())))
 
         # fused tokenize→TF-combine→run-encode: NO shuffle in phase 1; only
-        # compressed runs (~1-2 B/posting) enter the object store.  The stage
+        # compressed runs (~13 B/posting) enter the object store.  The stage
         # is a picklable callable instance run as stateless TASKS, not an
         # actor pool: its "state" (compiled regexes) is module-level, and
         # task scheduling avoids pool spin-up latency (measured 13s → 5s on a
@@ -348,6 +354,7 @@ def build_index(
     # yields the key's blocks — no driver-side vocabulary aggregate. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
         merge = make_merge_shard(block_size=cfg.block_size)
+        doc_ids_ref = ray.put(read_doc_lens(index_dir)[0])
         key_paths: Dict[int, List[str]] = {k: [] for k in range(n_keys)}
         for part in parts:
             gdir = storage.join(root, STAGE_RUNS, part)
@@ -361,12 +368,14 @@ def build_index(
         storage.makedirs(fs, ts_dir)
 
         def merge_keys(batch):
+            doc_ids = ray.get(doc_ids_ref)
             for key, paths in zip(
                 batch["merge_key"].to_pylist(), batch["paths"].to_pylist()
             ):
                 if not paths:
                     continue
-                tbl = pa_ds.dataset(paths, format="parquet", filesystem=fs).to_table()
+                tbl = pa_ds.dataset(paths, format="parquet", filesystem=fs).to_table(
+                    columns=["term", "n", "tf_sum", "ids_enc", "tfs_enc", "pos_enc"])
                 ts = (
                     tbl.select(["term", "n"])
                     .group_by("term")
@@ -378,7 +387,7 @@ def build_index(
                     storage.write_table_idempotent(
                         fs, ts, ts_dir, f"ts-key{key}.parquet"
                     )
-                out = merge(tbl)
+                out = merge(tbl, doc_ids)
                 yield out.add_column(1, "merge_key", pa.array(
                     [key] * out.num_rows, pa.int32()))
 
@@ -394,6 +403,7 @@ def build_index(
 
         n_terms = storage.parquet_rows(ts_dir, fs)
         stats = {
+            "format": SNAPSHOT_FORMAT,
             "n_docs": n_docs,
             "total_tokens": total_tokens,
             "avgdl": avgdl,
@@ -423,3 +433,17 @@ def build_index(
 def load_stats(index_dir: str) -> dict:
     fs, root = storage.resolve(index_dir)
     return storage.read_json(fs, storage.join(root, "stats.json"))
+
+
+def read_doc_lens(index_dir: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(doc ids ascending, their token lengths) from ``doc_meta``: a doc's
+    *ordinal*, the id a posting block stores, is its position here."""
+    fs, root = storage.resolve(index_dir)
+    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
+    if not files:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    tbl = pa_ds.dataset(files, format="parquet", filesystem=fs).to_table(
+        columns=["doc_id", "doc_len"])
+    ids = tbl["doc_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    return ids[order], tbl["doc_len"].to_numpy()[order]

@@ -8,8 +8,9 @@ The reference's ``SearchService.search`` (search.py:67-126) is rebuilt as:
   - index state loaded ONCE per scorer in ``__init__`` (term dictionary +
     df, corpus stats, posting blocks) — vs the reference's per-(term,doc)
     SQLite round-trips (search.py:18-39);
-  - per-doc token length read from the posting itself — vs re-tokenizing the
-    whole doc per query term (search.py:92, the O(|q|·|d|) hot spot);
+  - per-doc token length read once from ``doc_meta`` and looked up by the
+    doc ordinal a posting stores — vs re-tokenizing the whole doc per query
+    term (search.py:92, the O(|q|·|d|) hot spot);
   - snippets fetched only for the returned page via DocStore point lookups;
   - exact total_results / total_pages in every mode (search.py:119-126).
 
@@ -37,7 +38,7 @@ from ..functions.hashing import term_shard
 from ..functions.scoring import bm25_term_score, build_snippet
 from ..functions.tokenizer import TOKENIZERS
 from ..state.docstore import DocStore
-from .index_build import load_stats
+from .index_build import SNAPSHOT_FORMAT, load_stats, read_doc_lens
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -54,6 +55,25 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
+class _LRU(OrderedDict):
+    """term → cached value, least recently used first; ``nbytes`` is the
+    sum of the values' sizes as given to ``put``."""
+
+    def __init__(self):
+        super().__init__()
+        self.nbytes = 0
+        self._sizes: Dict[str, int] = {}
+
+    def put(self, term: str, value, nbytes: int) -> None:
+        self[term] = value
+        self._sizes[term] = nbytes
+        self.nbytes += nbytes
+
+    def drop(self, term: str) -> None:
+        del self[term]
+        self.nbytes -= self._sizes.pop(term)
+
+
 class PostingsIndex:
     """Lazily-loading view of one snapshot's posting blocks + term stats.
 
@@ -67,16 +87,19 @@ class PostingsIndex:
     nothing; the scan prunes by merge key instead.  Each block row carries
     its ``merge_key`` (``term_shard(term, stats["num_merge_groups"])``) and
     the build writes one row group per key, so a term's read touches only
-    its key's row groups.  Snapshots written before that column read every
-    row group.
+    its key's row groups.
 
-    Blocks stay varbyte-encoded until touched; decoded postings and BM25
-    (doc ordinal, contribution) lists are LRU-cached per term under the same
-    byte budget.  ``preload=True`` restores the eager round-1 behavior
-    (small indexes / latency-critical serving with ample RAM).
+    Blocks store doc *ordinals*: a doc's position in the snapshot's
+    ascending ``doc_meta`` ids.  The ids and token lengths by ordinal are
+    read from ``doc_meta`` once, on first use, and stay resident.  Blocks
+    stay varbyte-encoded until touched; decoded postings and BM25 (doc
+    ordinal, contribution) lists are LRU-cached per term, and the three
+    caches share the one byte budget.  ``preload=True`` restores the eager
+    round-1 behavior (small indexes / latency-critical serving with ample
+    RAM).
     """
 
-    _PAYLOAD_COLS = ("doc_ids", "tfs", "doc_lens", "positions")
+    _PAYLOAD_COLS = ("doc_ids", "tfs", "positions")
 
     def __init__(
         self,
@@ -86,6 +109,13 @@ class PostingsIndex:
     ):
         self.index_dir = index_dir
         self.stats = load_stats(index_dir)
+        if self.stats.get("format") != SNAPSHOT_FORMAT:
+            raise ValueError(
+                f"index {index_dir!r} predates snapshot format "
+                f"{SNAPSHOT_FORMAT} (posting blocks keyed by doc ordinal); "
+                "upgrade it with build_index(corpus, index_dir, "
+                "mode=\"rebuild\"), which keeps its runs and re-merges them"
+            )
         self.n_docs = int(self.stats["n_docs"])
         self.avgdl = float(self.stats["avgdl"])
         self.k1 = float(self.stats["bm25_k1"])
@@ -96,18 +126,12 @@ class PostingsIndex:
         fs, root = storage.resolve(index_dir)
         postings_path = storage.join(root, "postings")
         self._terms: Dict[str, dict] = {}
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_bytes = 0
-        # decoded arrays are ~4-8× the encoded payload: give the decode
-        # cache the same byte ceiling as the payload cache
-        self._cache_budget = payload_budget_bytes
-        # term → (doc ordinals, BM25 contributions), LRU, same byte ceiling
-        self._scored: OrderedDict = OrderedDict()
-        self._scored_bytes = 0
-        self._ordinal_ids: Optional[np.ndarray] = None
-        self._payloads: OrderedDict = OrderedDict()  # term → list[tuple], LRU
-        self._payload_bytes = 0
-        self._payload_budget = payload_budget_bytes
+        self._payloads = _LRU()  # term → encoded blocks
+        self._decoded = _LRU()   # term → (doc_ids, tfs, doc_lens)
+        self._scored = _LRU()    # term → (doc ordinals, BM25 contributions)
+        self._budget = payload_budget_bytes
+        self._pinned: frozenset = frozenset()  # the current query's terms
+        self._docs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._dataset = None
         self._num_keys = None  # merge keys, when blocks carry merge_key
         self.meta_bytes = 0  # resident block-metadata accounting (bench)
@@ -127,7 +151,7 @@ class PostingsIndex:
             e["blocks"] += 1
         if preload:
             self.prefetch(list(self._terms.keys()))
-            self._payload_budget = max(self._payload_budget, self._payload_bytes)
+            self._budget += self._payloads.nbytes
 
     def __contains__(self, term: str) -> bool:
         return term in self._terms
@@ -145,10 +169,25 @@ class PostingsIndex:
 
     # -- payload management ------------------------------------------------
 
+    def _evict(self) -> None:
+        """Drop least-recently-used entries until the three caches fit the
+        one byte budget: decoded postings first, then scored lists, then
+        encoded payloads (the only ones a miss reads from disk again).  The
+        current query's terms are never dropped, whatever they cost."""
+        caches = (self._decoded, self._scored, self._payloads)
+        for lru in caches:
+            while sum(c.nbytes for c in caches) > self._budget:
+                old = next((t for t in lru if t not in self._pinned), None)
+                if old is None:
+                    break
+                lru.drop(old)
+
     def prefetch(self, terms: Sequence[str]) -> None:
         """Fetch payload blobs for the given terms in ONE pruned parquet scan
-        (call once per query with all its terms).  LRU-evicts beyond the byte
-        budget; terms already resident are refreshed in LRU order."""
+        (call once per query with all its terms).  ``terms`` become the
+        current query's, which no cache evicts until the next call; terms
+        already resident are refreshed in LRU order."""
+        self._pinned = frozenset(terms)
         missing = []
         for t in terms:
             if t in self._payloads:
@@ -162,35 +201,19 @@ class PostingsIndex:
             filter=self._scan_filter(missing),
         )
         by_term: Dict[str, list] = {t: [] for t in missing}
-        for t, bid, ids_b, tfs_b, dls_b, pos_b in zip(
+        for t, bid, ids_b, tfs_b, pos_b in zip(
             tbl["term"].to_pylist(),
             tbl["block_id"].to_pylist(),
             tbl["doc_ids"].to_pylist(),
             tbl["tfs"].to_pylist(),
-            tbl["doc_lens"].to_pylist(),
             tbl["positions"].to_pylist(),
         ):
-            by_term[t].append((bid, ids_b, tfs_b, dls_b, pos_b))
+            by_term[t].append((bid, ids_b, tfs_b, pos_b))
         for t, rows in by_term.items():
             rows.sort(key=lambda r: r[0])
-            payload = [r[1:] for r in rows]
-            nbytes = sum(len(r[0]) + len(r[1]) + len(r[2]) + len(r[3])
-                         for r in payload)
-            self._payloads[t] = payload
-            self._payload_bytes += nbytes
-        # evict LRU-first, but never below THIS query's working set (resident
-        # terms were move_to_end'd above + the just-fetched missing ones) —
-        # guarding only len(missing) could evict a resident term the caller
-        # is about to read, degenerating to one pruned scan per term
-        protected = sum(1 for t in terms if t in self._payloads)
-        while (
-            self._payload_bytes > self._payload_budget
-            and len(self._payloads) > protected
-        ):
-            _, old = self._payloads.popitem(last=False)
-            self._payload_bytes -= sum(
-                len(r[0]) + len(r[1]) + len(r[2]) + len(r[3]) for r in old
-            )
+            self._payloads.put(t, [r[1:] for r in rows],
+                               sum(len(b) for r in rows for b in r[1:]))
+        self._evict()
 
     def _scan_filter(self, terms: Sequence[str]):
         """The payload scan's filter for ``terms``: their merge keys (which
@@ -213,25 +236,22 @@ class PostingsIndex:
         return got
 
     def decode_block(self, term: str, block_idx: int):
+        """(doc ordinals, tfs) of one block of ``term``."""
         b = self._payload(term)[block_idx]
         self.blocks_decoded += 1
-        return (
-            codecs.decode_ids(b[0]),
-            codecs.decode_plain(b[1]),
-            codecs.decode_plain(b[2]),
-        )
+        return codecs.decode_ids(b[0]), codecs.decode_plain(b[1])
 
     def positions(self, term: str) -> List[np.ndarray]:
         """Per-posting absolute token positions for a term (requires an index
         built with store_positions=True), aligned with ``postings(term)``."""
         out: List[np.ndarray] = []
         for b in self._payload(term):
-            if not b[3]:
+            if not b[2]:
                 raise ValueError(
                     f"index has no positional payload for term {term!r} "
                     "(build with EngineConfig(store_positions=True))"
                 )
-            flat = codecs.varbyte_decode(b[3])
+            flat = codecs.varbyte_decode(b[2])
             counts = codecs.decode_plain(b[1])
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             # ONE cumsum-with-resets pass (delta → absolute), then split —
@@ -240,44 +260,50 @@ class PostingsIndex:
             out.extend(np.split(absolute, starts[1:]))
         return out
 
-    def _decode(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ordinal_docs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(doc ids, doc token lengths) by ordinal, read from ``doc_meta``
+        once.  Raises ValueError when ``doc_meta`` does not hold exactly
+        the snapshot's ``n_docs`` docs: every ordinal past a missing doc
+        would name its neighbour."""
+        if self._docs is None:
+            ids, lens = read_doc_lens(self.index_dir)
+            if len(ids) != self.n_docs:
+                raise ValueError(
+                    f"index {self.index_dir!r}: doc_meta holds {len(ids)} "
+                    f"docs, stats.json counts {self.n_docs}; the snapshot "
+                    "is inconsistent"
+                )
+            self._docs = ids, lens
+        return self._docs
+
+    def _decode(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(doc ordinals, tfs) of every block of ``term``; ordinals past
+        the last doc (a corrupt block) raise ValueError."""
         parts = [self.decode_block(term, i) for i in range(self.n_blocks(term))]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        ords, tfs = (np.concatenate(col) for col in zip(*parts))
+        if ords[-1] >= len(self.ordinal_docs()[0]):
+            raise ValueError(
+                f"index {self.index_dir!r}: term {term!r} has a posting for "
+                f"doc ordinal {int(ords[-1])}, past the {self.n_docs} docs "
+                "of doc_meta; the snapshot is inconsistent"
+            )
+        return ords, tfs
 
     def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full decoded (doc_ids, tfs, doc_lens) for a term, LRU-cached
-        under a BYTE budget (decoded arrays are ~4-8× their varbyte size;
-        an entry-count cap alone would let hot long lists dwarf the
-        carefully-budgeted encoded-payload cache)."""
-        hit = self._cache.get(term)
+        """Full decoded (doc_ids, tfs, doc_lens) for a term, the ids and
+        lengths gathered by ordinal; LRU-cached under the byte budget."""
+        hit = self._decoded.get(term)
         if hit is not None:
-            self._cache.move_to_end(term)
+            self._decoded.move_to_end(term)
             return hit
-        out = self._decode(term)
-        self._cache[term] = out
-        self._cache_bytes += sum(a.nbytes for a in out)
-        while self._cache_bytes > self._cache_budget and len(self._cache) > 1:
-            _, old = self._cache.popitem(last=False)
-            self._cache_bytes -= sum(a.nbytes for a in old)
+        ords, tfs = self._decode(term)
+        ids, lens = self.ordinal_docs()
+        out = (ids[ords], tfs, lens[ords])
+        self._decoded.put(term, out, sum(a.nbytes for a in out))
+        self._evict()
         return out
 
     # -- BM25 over dense doc ordinals ----------------------------------------
-
-    def ordinal_doc_ids(self) -> np.ndarray:
-        """The snapshot's doc ids, ascending: a doc's *ordinal* is its
-        position here.  Read from ``doc_meta``'s ``doc_id`` column on first
-        use, once; an empty snapshot gives an empty array."""
-        if self._ordinal_ids is None:
-            from ..state import storage
-
-            fs, root = storage.resolve(self.index_dir)
-            path = storage.join(root, "doc_meta")
-            ids = np.empty(0, dtype=np.int64)
-            if storage.ls_files(fs, path, suffix=".parquet"):
-                ids = pa_ds.dataset(path, format="parquet", filesystem=fs) \
-                    .to_table(columns=["doc_id"])["doc_id"].to_numpy()
-            self._ordinal_ids = np.sort(ids)
-        return self._ordinal_ids
 
     def bm25_postings(
         self, terms: Sequence[str]
@@ -285,41 +311,25 @@ class PostingsIndex:
         """Per term, (doc ordinals, BM25 contributions) of its postings, in
         doc order.  Contributions are query-independent (idf is per term),
         so each term's pair is computed once and LRU-cached under the byte
-        budget; ``terms`` themselves are never evicted by this call.
-
-        Raises ValueError when a posting's doc id is missing from
-        ``doc_meta`` (an inconsistent snapshot), which a binary search alone
-        would silently map to a neighbouring doc."""
+        budget; ``terms`` themselves are never evicted by this call."""
         missing = [t for t in terms if t not in self._scored]
         if missing:
-            self.prefetch(missing)  # one pruned scan for all of them
-            sorted_ids = self.ordinal_doc_ids()
+            self.prefetch(terms)  # one pruned scan for the missing ones
+            lens = self.ordinal_docs()[1]
             n = max(self.n_docs, 1)
             for t in missing:
-                ids, tfs, dls = self._decode(t)
-                ords = np.searchsorted(sorted_ids, ids)
-                found = ords < len(sorted_ids)
-                found[found] = sorted_ids[ords[found]] == ids[found]
-                if not found.all():
-                    raise ValueError(
-                        f"index {self.index_dir!r}: term {t!r} has postings "
-                        f"for doc ids absent from doc_meta (e.g. "
-                        f"{int(ids[~found][0])}); the snapshot is inconsistent"
-                    )
+                ords, tfs = self._decode(t)
                 df = self.df(t)
                 idf = math.log1p((n - df + 0.5) / (df + 0.5))
-                contribs = bm25_term_score(tfs, dls, idf, self.avgdl,
+                contribs = bm25_term_score(tfs, lens[ords], idf, self.avgdl,
                                            self.k1, self.b)
-                self._scored[t] = (ords, contribs)
-                self._scored_bytes += ords.nbytes + contribs.nbytes
+                self._scored.put(t, (ords, contribs),
+                                 ords.nbytes + contribs.nbytes)
+            self._evict()
         out = []
         for t in terms:
             self._scored.move_to_end(t)
             out.append(self._scored[t])
-        while (self._scored_bytes > self._cache_budget
-               and len(self._scored) > len(terms)):
-            _, old = self._scored.popitem(last=False)
-            self._scored_bytes -= old[0].nbytes + old[1].nbytes
         return out
 
 
@@ -445,7 +455,7 @@ def score_bm25_taat(
         keep = scores >= kth
         hit, scores = hit[keep], scores[keep]
     order = np.lexsort((hit, -scores))[:top_k]
-    return index.ordinal_doc_ids()[hit[order]], scores[order]
+    return index.ordinal_docs()[0][hit[order]], scores[order]
 
 
 def score_bm25_wand(

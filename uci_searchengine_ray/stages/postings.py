@@ -7,21 +7,26 @@ delta+varbyte-compressed posting blocks in two stages:
   phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
       corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
       (term, doc) pair is unique afterwards), then sort (term, doc_id) within
-      the batch and emit one compressed *run* row per term per batch.
+      the batch and emit one compressed *run* row per term per batch (hashed
+      doc ids and tfs; a doc's token length goes to its doc-meta row only).
       Fusing tokenize→explode→encode in one stage means raw postings never
-      cross the object store — only ~1-2 byte/posting runs do — and the
+      cross the object store — only compressed runs (~13 B/posting) do — and the
       hive-partitioned run write (by merge_key = hash(term) % merge keys)
       IS the phase-1→2 exchange: a disk-backed shuffle with no sort.
 
   phase 2 — each merge task takes a slice of the merge keys and, per key,
       reads exactly its co-located run files and runs ``merge_shard``: per
-      term, the runs (disjoint doc sets) are decoded, merge-sorted and
-      re-encoded into fixed-size blocks with df; many terms merge in one
+      term, the runs (disjoint doc sets) are decoded, their hashed doc ids
+      mapped to doc *ordinals* (rank in the snapshot's ascending doc_meta
+      ids, so gaps are small), merge-sorted and re-encoded into fixed-size
+      blocks with df; many terms merge in one
       vectorized call (no per-term Ray scheduling).  ``build_index`` derives
       the key count from the corpus size (at least 64, ~7.8k docs per key
       past 500k docs), so one key's postings stay worker-sized; stopword
       filtering in code mode removes the worst Zipf offenders outright.
 
+A block holds delta+varbyte ordinals, varbyte tfs and, optionally, the
+positions; scorers read doc lengths from ``doc_meta`` by ordinal.
 ``build_index`` adds each block row's ``merge_key`` and writes one postings
 file per merge task, one row group per key, so the query side prunes a
 term's read to its key's row groups.
@@ -47,7 +52,6 @@ RUN_SCHEMA = pa.schema(
         ("tf_sum", pa.int64()),
         ("ids_enc", pa.large_binary()),
         ("tfs_enc", pa.large_binary()),
-        ("dls_enc", pa.large_binary()),
         # optional positional payload: per posting, delta-encoded token
         # positions (tf_i values each), concatenated then varbyte'd; empty
         # bytes when positions are disabled
@@ -63,7 +67,6 @@ BLOCK_SCHEMA = pa.schema(
         ("n", pa.int32()),
         ("doc_ids", pa.large_binary()),
         ("tfs", pa.large_binary()),
-        ("doc_lens", pa.large_binary()),
         ("positions", pa.large_binary()),
     ]
 )
@@ -146,7 +149,6 @@ class TokenizeEncodeRuns:
         post_pos: List[np.ndarray] = []  # per-posting token positions
         used_doc: List[int] = []  # docs that produced postings…
         used_n: List[int] = []  # …their distinct-term counts (np.repeat)
-        used_dl: List[int] = []  # …their token counts
         doc_lens_out: List[int] = []  # per input row, for the meta sidecar
         tokenize = self._tokenize
         want_pos = self._store_positions
@@ -183,7 +185,6 @@ class TokenizeEncodeRuns:
                 n_terms = len(freq)
             used_doc.append(doc_id)
             used_n.append(n_terms)
-            used_dl.append(len(toks))
 
         if self._meta_dir is not None and len(doc_ids):
             self._write_meta_sidecar(batch, doc_ids, doc_lens_out)
@@ -198,10 +199,8 @@ class TokenizeEncodeRuns:
         reps = np.asarray(used_n, dtype=np.int64)
         doc_arr = np.repeat(np.asarray(used_doc, dtype=np.int64), reps)
         tf_arr = np.asarray(post_tf, dtype=np.int64)
-        dl_arr = np.repeat(np.asarray(used_dl, dtype=np.int64), reps)
         order = np.lexsort((doc_arr, term_arr))
-        term_arr, doc_arr = term_arr[order], doc_arr[order]
-        tf_arr, dl_arr = tf_arr[order], dl_arr[order]
+        term_arr, doc_arr, tf_arr = term_arr[order], doc_arr[order], tf_arr[order]
         if want_pos:
             post_pos = [post_pos[j] for j in order]
         # run boundaries: starts of each distinct term
@@ -215,7 +214,6 @@ class TokenizeEncodeRuns:
             codecs.delta_encode_segments(doc_arr, seg_starts), seg_starts
         )
         tfs_enc = codecs.varbyte_encode_segments(tf_arr, seg_starts)
-        dls_enc = codecs.varbyte_encode_segments(dl_arr, seg_starts)
         run_terms = term_arr[seg_starts]
         tf_sums = np.add.reduceat(tf_arr, seg_starts)
         merge_keys = [
@@ -250,20 +248,25 @@ class TokenizeEncodeRuns:
                 "tf_sum": pa.array(tf_sums.astype(np.int64), pa.int64()),
                 "ids_enc": pa.array(ids_enc, pa.large_binary()),
                 "tfs_enc": pa.array(tfs_enc, pa.large_binary()),
-                "dls_enc": pa.array(dls_enc, pa.large_binary()),
                 "pos_enc": pa.array(pos_enc, pa.large_binary()),
             },
             schema=RUN_SCHEMA,
         )
 
 
-def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
-    """Phase-2 merge body factory: one merge key's runs (many terms) →
-    final block rows (``BLOCK_SCHEMA``)."""
+def make_merge_shard(
+    block_size: int,
+) -> Callable[[pa.Table, np.ndarray], pa.Table]:
+    """Phase-2 merge body factory: one merge key's runs (many terms) and
+    the snapshot's ascending doc ids → final block rows (``BLOCK_SCHEMA``),
+    whose ``doc_ids`` hold each doc's ordinal (its position in those ids)."""
 
-    def merge_shard_vectorized(group: pa.Table, pos_enc=None) -> pa.Table:
-        """Vectorized merge: batch-decode every run in one codec pass, ONE
-        global lexsort over (term, doc_id) for all postings, block
+    def merge_shard_vectorized(
+        group: pa.Table, doc_ids: np.ndarray, pos_enc=None
+    ) -> pa.Table:
+        """Vectorized merge: batch-decode every run in one codec pass, map
+        its hashed doc ids to ordinals (one ``searchsorted``), ONE
+        global lexsort over (term, ordinal) for all postings, block
         aggregates via reduceat at block starts, segmented re-encode at
         block boundaries — byte-identical blocks to the per-term path (the
         per-run decode / per-block encode calls dominated phase 2
@@ -281,17 +284,23 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
         ns_o = ns[run_order]
         ids_enc = group["ids_enc"].to_pylist()
         tfs_enc = group["tfs_enc"].to_pylist()
-        dls_enc = group["dls_enc"].to_pylist()
         blobs_ids = [ids_enc[j] for j in run_order]
         blobs_tfs = [tfs_enc[j] for j in run_order]
-        blobs_dls = [dls_enc[j] for j in run_order]
 
         run_starts = np.concatenate(([0], np.cumsum(ns_o)[:-1]))
-        ids_all = codecs.delta_decode_segments(
+        hashed = codecs.delta_decode_segments(
             codecs.varbyte_decode_concat(blobs_ids, ns_o), run_starts
         )
+        ords = np.searchsorted(doc_ids, hashed)
+        known = ords < len(doc_ids)
+        known[known] = doc_ids[ords[known]] == hashed[known]
+        if not known.all():
+            raise ValueError(
+                f"runs hold postings of doc id {int(hashed[~known][0])}, "
+                "which doc_meta lacks: the snapshot's runs and doc_meta "
+                "disagree"
+            )
         tfs_all = codecs.varbyte_decode_concat(blobs_tfs, ns_o).astype(np.int64)
-        dls_all = codecs.varbyte_decode_concat(blobs_dls, ns_o).astype(np.int64)
 
         # distinct terms (runs are term-sorted): per-term posting segments
         t_brk = np.flatnonzero(terms_o[1:] != terms_o[:-1]) + 1
@@ -302,9 +311,9 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
         run_term_rank = np.cumsum(run_term_rank)             # per run
         post_term_rank = np.repeat(run_term_rank, ns_o)      # per posting
 
-        o = np.lexsort((ids_all, post_term_rank))            # ONE global sort
+        o = np.lexsort((ords, post_term_rank))               # ONE global sort
         tfs_pre = tfs_all  # pre-sort per-posting tf = position-segment lens
-        ids_all, tfs_all, dls_all = ids_all[o], tfs_all[o], dls_all[o]
+        ords, tfs_all = ords[o], tfs_all[o]
 
         seg_lens = np.bincount(post_term_rank, minlength=len(uniq_terms)).astype(np.int64)
         seg_starts = np.concatenate(([0], np.cumsum(seg_lens)[:-1]))
@@ -314,18 +323,18 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
         # every block start, so a duplicate landing exactly on a block
         # boundary would be silently accepted (block i's last doc equal to
         # block i+1's first, which the scorer would count twice).  After the
-        # lexsort ids are ascending within each term, so any adjacent equal
+        # lexsort ordinals are ascending within each term, so any adjacent equal
         # pair with equal term rank is a duplicate; the term-rank mask also
         # keeps a legitimate cross-term coincidence (last doc of term A ==
         # first doc of term B) from being misreported.
         ptr_sorted = post_term_rank[o]
         dup = np.flatnonzero(
-            (ids_all[1:] == ids_all[:-1]) & (ptr_sorted[1:] == ptr_sorted[:-1])
+            (ords[1:] == ords[:-1]) & (ptr_sorted[1:] == ptr_sorted[:-1])
         )
         if len(dup):
             i = int(dup[0])
             raise ValueError(
-                f"duplicate doc_id {int(ids_all[i + 1])} in postings of "
+                f"duplicate doc_id {int(doc_ids[ords[i + 1]])} in postings of "
                 f"term {uniq_terms[int(ptr_sorted[i])]!r}: the same (repo, "
                 "path, commit) identity appears in more than one corpus file"
             )
@@ -349,10 +358,9 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
         # (duplicates were rejected above; the codec's own ascending check
         # remains as a backstop for non-block-boundary corruption)
         ids_b = codecs.varbyte_encode_segments(
-            codecs.delta_encode_segments(ids_all, blk_starts), blk_starts
+            codecs.delta_encode_segments(ords, blk_starts), blk_starts
         )
         tfs_b = codecs.varbyte_encode_segments(tfs_all, blk_starts)
-        dls_b = codecs.varbyte_encode_segments(dls_all, blk_starts)
 
         if pos_enc is not None:
             # decode every run's flat delta stream at once (values per run =
@@ -385,13 +393,12 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
                 "doc_ids": pa.array(ids_b, pa.large_binary()),
                 "tfs": pa.array(tfs_b, pa.large_binary()),
-                "doc_lens": pa.array(dls_b, pa.large_binary()),
                 "positions": pa.array(pos_b, pa.large_binary()),
             },
             schema=BLOCK_SCHEMA,
         )
 
-    def merge_shard(group: pa.Table) -> pa.Table:
+    def merge_shard(group: pa.Table, doc_ids: np.ndarray) -> pa.Table:
         if group.num_rows == 0 or "term" not in group.column_names:
             return pa.table(
                 {f.name: pa.array([], f.type) for f in BLOCK_SCHEMA},
@@ -403,9 +410,9 @@ def make_merge_shard(block_size: int) -> Callable[[pa.Table], pa.Table]:
             else [b""] * group.num_rows
         )
         if not any(len(p) for p in pos_enc):
-            return merge_shard_vectorized(group)
+            return merge_shard_vectorized(group, doc_ids)
         if all(len(p) for p in pos_enc):
-            return merge_shard_vectorized(group, pos_enc=pos_enc)
+            return merge_shard_vectorized(group, doc_ids, pos_enc=pos_enc)
         # mixed positional/non-positional runs: a block whose position
         # payload covers only SOME postings would be silently mis-split by
         # the query side (positions are cut at cumsum(tf) boundaries), so

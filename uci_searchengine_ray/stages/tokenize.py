@@ -12,9 +12,10 @@ batch transforms over zero-copy Arrow:
   - ``doc_meta_batch`` — stateless: corpus batch in → doc-meta rows out
     (doc_id, url, title, lang, n_chars, content_sha256).  Mirrors the
     reference's document upsert fields (crawler.py:209-237: url, title,
-    content) plus the sha256 invariant (input_hint).  Does NOT tokenize — the
-    per-doc token length travels on the postings instead, so content is
-    tokenized exactly once per document across the whole build.
+    content) plus the sha256 invariant (input_hint).  The index build passes
+    the token lengths it already counted, so content is tokenized exactly
+    once per document; the ``doc_len`` column is the one copy of a doc's
+    length, which the scorers read by doc ordinal.
 
 Empty/punctuation-only docs produce zero postings but still get a doc-meta row
 (N counts them, matching reference search.py:85 which counts uncrawled stubs).
