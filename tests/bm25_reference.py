@@ -21,7 +21,8 @@ def score_bm25_reference(index, query, top_k=None):
     all_ids, all_contrib = [], []
     n = max(index.n_docs, 1)
     for tok in uniq:
-        ids, tfs, dls = index.postings(tok)
+        ords, tfs = index.postings(tok)
+        ids, dls = index.docs.ids[ords], index.docs.lens[ords]
         df = index.df(tok)
         idf = math.log1p((n - df + 0.5) / (df + 0.5))
         all_ids.append(ids)

@@ -63,19 +63,23 @@ def test_empty_corpus_file(ray_session, tmp_path):
     assert len(ids) == 0
     env = search_one(snap, "anything")
     assert env["total_results"] == 0 and env["results"] == []
-    from uci_searchengine_ray.state.docstore import DocStore
+    from uci_searchengine_ray.state.docstore import DocStore, quarantine_listing
 
     assert DocStore(snap).fetch([1, 2, 3]) == {}
+    # the failed-urls listing of a snapshot without doc_meta files is empty
+    assert quarantine_listing(snap).to_pylist() == []
 
 
-def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
+def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path, monkeypatch):
     """Fault injection: a doc_meta file rewritten without one row leaves
     postings whose ordinals no longer line up with the snapshot's doc list.
     Any query raises naming doc_meta, instead of scoring postings onto a
-    neighbouring doc."""
+    neighbouring doc or serving a page row of the wrong one: the doc
+    table's count check fires before any page fetch."""
     import glob
 
-    from uci_searchengine_ray.pipelines.search import score_bm25_wand
+    from uci_searchengine_ray.pipelines.search import QueryScorer, score_bm25_wand
+    from uci_searchengine_ray.state.docstore import DocStore
 
     corpus = _write(tmp_path, ["alpha shared", "beta shared", "gamma shared"])
     snap = str(tmp_path / "i")
@@ -83,9 +87,10 @@ def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
     path = sorted(glob.glob(f"{snap}/doc_meta/**/*.parquet", recursive=True))[0]
     meta = pq.read_table(path)
     victim = meta["doc_id"][0].as_py()
+    pi = PostingsIndex(snap)
     term = next(
         t for t in ("alpha", "beta", "gamma")
-        if victim in PostingsIndex(snap).postings(t)[0].tolist()
+        if victim in pi.docs.ids[pi.postings(t)[0]].tolist()
     )
     pq.write_table(meta.slice(1), path)
     with pytest.raises(ValueError, match="doc_meta holds 2 docs"):
@@ -94,6 +99,14 @@ def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path):
         score_bm25_wand(PostingsIndex(snap), "shared", top_k=1)
     with pytest.raises(ValueError, match="doc_meta"):
         score_reference(PostingsIndex(snap), term)
+    fetched = []
+    monkeypatch.setattr(DocStore, "fetch",
+                        lambda self, ids, *a: fetched.append(ids) or {})
+    with pytest.raises(ValueError, match="doc_meta holds 2 docs"):
+        QueryScorer(snap, mode="bm25_wand").search(f"{term} shared")
+    with pytest.raises(ValueError, match="doc_meta holds 2 docs"):
+        QueryScorer(snap).search(term)
+    assert fetched == []
 
 
 def test_all_unindexable_corpus(ray_session, tmp_path):

@@ -152,7 +152,8 @@ def test_build_and_query_over_2gib_corpus(ray_session, big_corpus, tmp_path):
     # ln(N/(df+1)) is negative and the score>0 filter legitimately empties
     # the result — assert the POSTINGS themselves instead
     assert pi.df("header") == N_DOCS
-    doc_ids, tfs, _ = pi.postings("header")
+    ords, tfs = pi.postings("header")
+    doc_ids = pi.docs.ids[ords]
     assert len(doc_ids) == N_DOCS and set(tfs.tolist()) == {1}
     ids, _ = score_reference(pi, "header")
     assert len(ids) == 0  # documented negative-idf semantics

@@ -41,22 +41,8 @@ def test_init_loads_metadata_only(idx):
     assert len(pi._payloads) < len(list(pi.terms()))
 
 
-def test_preload_matches_lazy(idx):
-    lazy, eager = PostingsIndex(idx), PostingsIndex(idx, preload=True)
-    assert eager._payloads.nbytes > 0 and len(eager._payloads) == len(
-        list(eager.terms())
-    )
-    for q in ["return value", "parse json error", "self x", "qq_missing"]:
-        il, cl = score_bm25_taat(lazy, q)
-        ie, ce = score_bm25_taat(eager, q)
-        assert np.array_equal(il, ie) and np.array_equal(cl, ce)
-        il, cl = score_reference(lazy, q)
-        ie, ce = score_reference(eager, q)
-        assert np.array_equal(il, ie) and np.array_equal(cl, ce)
-
-
 def test_tiny_budget_evicts_but_stays_correct(idx):
-    ref = PostingsIndex(idx, preload=True)
+    ref = PostingsIndex(idx)
     small = PostingsIndex(idx, payload_budget_bytes=1)
     queries = ["return value", "index block merge", "self data x",
                "return value"]

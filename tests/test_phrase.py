@@ -42,7 +42,8 @@ def test_positions_reconstruct_tokens(pos_index):
     }
     checked = 0
     for term in list(pos_index.terms())[:200]:
-        ids, tfs, _ = pos_index.postings(term)
+        ords, tfs = pos_index.postings(term)
+        ids = pos_index.docs.ids[ords]
         poss = pos_index.positions(term)
         assert len(poss) == len(ids)
         for doc, tf, p in zip(ids.tolist(), tfs.tolist(), poss):

@@ -16,8 +16,9 @@ from test_search import GOLDEN_QUERIES
 
 from uci_searchengine_ray.config import EngineConfig
 from uci_searchengine_ray.functions import codecs
-from uci_searchengine_ray.pipelines.index_build import build_index, read_doc_lens
+from uci_searchengine_ray.pipelines.index_build import build_index
 from uci_searchengine_ray.pipelines.search import PostingsIndex, search_one
+from uci_searchengine_ray.state.docstore import DocStore
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CFG = EngineConfig(mode="reference", block_size=32, ckpt_groups=4)
@@ -36,7 +37,8 @@ def _to_parent_encoding(snap):
     """Rewrite ``snap`` as the previous format wrote it: block ``doc_ids``
     hold hashed doc ids, blocks and runs carry per-posting doc lengths
     (``doc_lens`` / ``dls_enc``), and stats.json has no format field."""
-    ids, lens = read_doc_lens(snap)
+    docs = DocStore(snap, pages=False)
+    ids, lens = docs.ids, docs.lens
     len_of = dict(zip(ids.tolist(), lens.tolist()))
     for path in sorted(pa_ds.dataset(os.path.join(snap, "postings")).files):
         tbl = pq.read_table(path)

@@ -17,11 +17,11 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     one task per CPU, each over a slice of the merge keys; per key it reads
     that key's run files of the manifest's groups ONCE and merges its terms
     (no groupby/sort — data is already co-located by key), mapping each
-    hashed doc id to its ordinal in the snapshot's ascending doc_meta ids
-    (read once by the driver, shared through one ``ray.put``), yielding one
-    block table per key, tagged with its merge_key → one postings file per
-    task, one row group per key (the query side prunes a term's read to
-    its key's row groups)
+    hashed doc id to its ordinal (``state.docstore`` alone defines it; the
+    driver reads the ascending doc_meta ids once and shares them through
+    one ``ray.put``), yielding one block table per key, tagged with its
+    merge_key → one postings file per task, one row group per key (the
+    query side prunes a term's read to its key's row groups)
     term_stats (term, df) computed PER MERGE KEY inside the same task from
     the (term, n) columns of the table it merges — per-key memory is
     bounded by vocab/keys and the driver never materializes the
@@ -60,7 +60,6 @@ import os
 import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pa_ds
 
@@ -68,6 +67,7 @@ import ray.data
 
 from ..config import EngineConfig
 from ..state import manifest, storage
+from ..state.docstore import read_doc_meta
 from ..stages.postings import TokenizeEncodeRuns, make_merge_shard
 
 STAGE_RUNS = "runs"
@@ -354,7 +354,8 @@ def build_index(
     # yields the key's blocks — no driver-side vocabulary aggregate. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
         merge = make_merge_shard(block_size=cfg.block_size)
-        doc_ids_ref = ray.put(read_doc_lens(index_dir)[0])
+        meta, order = read_doc_meta(index_dir, ["doc_id"])
+        doc_ids_ref = ray.put(meta["doc_id"].to_numpy()[order])
         key_paths: Dict[int, List[str]] = {k: [] for k in range(n_keys)}
         for part in parts:
             gdir = storage.join(root, STAGE_RUNS, part)
@@ -434,16 +435,3 @@ def load_stats(index_dir: str) -> dict:
     fs, root = storage.resolve(index_dir)
     return storage.read_json(fs, storage.join(root, "stats.json"))
 
-
-def read_doc_lens(index_dir: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(doc ids ascending, their token lengths) from ``doc_meta``: a doc's
-    *ordinal*, the id a posting block stores, is its position here."""
-    fs, root = storage.resolve(index_dir)
-    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
-    if not files:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    tbl = pa_ds.dataset(files, format="parquet", filesystem=fs).to_table(
-        columns=["doc_id", "doc_len"])
-    ids = tbl["doc_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    return ids[order], tbl["doc_len"].to_numpy()[order]

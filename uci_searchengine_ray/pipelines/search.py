@@ -8,9 +8,9 @@ The reference's ``SearchService.search`` (search.py:67-126) is rebuilt as:
   - index state loaded ONCE per scorer in ``__init__`` (term dictionary +
     df, corpus stats, posting blocks) — vs the reference's per-(term,doc)
     SQLite round-trips (search.py:18-39);
-  - per-doc token length read once from ``doc_meta`` and looked up by the
-    doc ordinal a posting stores — vs re-tokenizing the whole doc per query
-    term (search.py:92, the O(|q|·|d|) hot spot);
+  - per-doc token length read once per scorer, with the doc ids, from its
+    one doc table (``state.docstore``) and looked up by doc ordinal — vs
+    re-tokenizing the whole doc per query term (search.py:92);
   - snippets fetched only for the returned page via DocStore point lookups;
   - exact total_results / total_pages in every mode (search.py:119-126).
 
@@ -38,7 +38,7 @@ from ..functions.hashing import term_shard
 from ..functions.scoring import bm25_term_score, build_snippet
 from ..functions.tokenizer import TOKENIZERS
 from ..state.docstore import DocStore
-from .index_build import SNAPSHOT_FORMAT, load_stats, read_doc_lens
+from .index_build import SNAPSHOT_FORMAT, load_stats
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -89,14 +89,12 @@ class PostingsIndex:
     the build writes one row group per key, so a term's read touches only
     its key's row groups.
 
-    Blocks store doc *ordinals*: a doc's position in the snapshot's
-    ascending ``doc_meta`` ids.  The ids and token lengths by ordinal are
-    read from ``doc_meta`` once, on first use, and stay resident.  Blocks
+    The index speaks doc *ordinals*, as its blocks store them:
+    ``postings(term)`` is (ordinals, tfs).  ``docs`` is the doc table that
+    defines them (``DocStore``; a ``QueryScorer`` hands in its own).  Blocks
     stay varbyte-encoded until touched; decoded postings and BM25 (doc
     ordinal, contribution) lists are LRU-cached per term, and the three
-    caches share the one byte budget.  ``preload=True`` restores the eager
-    round-1 behavior (small indexes / latency-critical serving with ample
-    RAM).
+    caches share the one byte budget.
     """
 
     _PAYLOAD_COLS = ("doc_ids", "tfs", "positions")
@@ -104,8 +102,8 @@ class PostingsIndex:
     def __init__(
         self,
         index_dir: str,
-        preload: bool = False,
         payload_budget_bytes: int = 256 << 20,
+        docs: Optional[DocStore] = None,
     ):
         self.index_dir = index_dir
         self.stats = load_stats(index_dir)
@@ -120,6 +118,7 @@ class PostingsIndex:
         self.avgdl = float(self.stats["avgdl"])
         self.k1 = float(self.stats["bm25_k1"])
         self.b = float(self.stats["bm25_b"])
+        self.docs = docs or DocStore(index_dir, pages=False)
 
         from ..state import storage
 
@@ -127,11 +126,10 @@ class PostingsIndex:
         postings_path = storage.join(root, "postings")
         self._terms: Dict[str, dict] = {}
         self._payloads = _LRU()  # term → encoded blocks
-        self._decoded = _LRU()   # term → (doc_ids, tfs, doc_lens)
+        self._decoded = _LRU()   # term → (doc ordinals, tfs)
         self._scored = _LRU()    # term → (doc ordinals, BM25 contributions)
         self._budget = payload_budget_bytes
         self._pinned: frozenset = frozenset()  # the current query's terms
-        self._docs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._dataset = None
         self._num_keys = None  # merge keys, when blocks carry merge_key
         self.meta_bytes = 0  # resident block-metadata accounting (bench)
@@ -149,9 +147,6 @@ class PostingsIndex:
         for term, df in zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()):
             e = self._terms.setdefault(term, {"df": df, "blocks": 0})
             e["blocks"] += 1
-        if preload:
-            self.prefetch(list(self._terms.keys()))
-            self._budget += self._payloads.nbytes
 
     def __contains__(self, term: str) -> bool:
         return term in self._terms
@@ -260,28 +255,12 @@ class PostingsIndex:
             out.extend(np.split(absolute, starts[1:]))
         return out
 
-    def ordinal_docs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(doc ids, doc token lengths) by ordinal, read from ``doc_meta``
-        once.  Raises ValueError when ``doc_meta`` does not hold exactly
-        the snapshot's ``n_docs`` docs: every ordinal past a missing doc
-        would name its neighbour."""
-        if self._docs is None:
-            ids, lens = read_doc_lens(self.index_dir)
-            if len(ids) != self.n_docs:
-                raise ValueError(
-                    f"index {self.index_dir!r}: doc_meta holds {len(ids)} "
-                    f"docs, stats.json counts {self.n_docs}; the snapshot "
-                    "is inconsistent"
-                )
-            self._docs = ids, lens
-        return self._docs
-
     def _decode(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
         """(doc ordinals, tfs) of every block of ``term``; ordinals past
         the last doc (a corrupt block) raise ValueError."""
         parts = [self.decode_block(term, i) for i in range(self.n_blocks(term))]
         ords, tfs = (np.concatenate(col) for col in zip(*parts))
-        if ords[-1] >= len(self.ordinal_docs()[0]):
+        if ords[-1] >= self.n_docs:
             raise ValueError(
                 f"index {self.index_dir!r}: term {term!r} has a posting for "
                 f"doc ordinal {int(ords[-1])}, past the {self.n_docs} docs "
@@ -289,16 +268,14 @@ class PostingsIndex:
             )
         return ords, tfs
 
-    def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full decoded (doc_ids, tfs, doc_lens) for a term, the ids and
-        lengths gathered by ordinal; LRU-cached under the byte budget."""
+    def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Full decoded (doc ordinals, tfs) for a term; LRU-cached under
+        the byte budget."""
         hit = self._decoded.get(term)
         if hit is not None:
             self._decoded.move_to_end(term)
             return hit
-        ords, tfs = self._decode(term)
-        ids, lens = self.ordinal_docs()
-        out = (ids[ords], tfs, lens[ords])
+        out = self._decode(term)
         self._decoded.put(term, out, sum(a.nbytes for a in out))
         self._evict()
         return out
@@ -315,7 +292,7 @@ class PostingsIndex:
         missing = [t for t in terms if t not in self._scored]
         if missing:
             self.prefetch(terms)  # one pruned scan for the missing ones
-            lens = self.ordinal_docs()[1]
+            lens = self.docs.lens
             n = max(self.n_docs, 1)
             for t in missing:
                 ords, tfs = self._decode(t)
@@ -339,7 +316,8 @@ class PostingsIndex:
 
 def score_reference(index: PostingsIndex, query: str) -> Tuple[np.ndarray, np.ndarray]:
     """Exact reference-mode scoring (SURVEY.md §1.4). Returns (doc_ids, scores)
-    ordered by (score desc, doc_id asc), score>0 only."""
+    ordered by (score desc, doc_id asc), score>0 only.  Ranks doc ordinals,
+    which sort as doc ids do."""
     tokens = TOKENIZERS["reference"](query)
     present = [t for t in tokens if t in index]
     if not present:
@@ -349,16 +327,17 @@ def score_reference(index: PostingsIndex, query: str) -> Tuple[np.ndarray, np.nd
     acc = np.zeros(len(union), dtype=np.float64)
     n = max(index.n_docs, 1)
     for tok in present:  # token order, duplicates twice — search.py:89
-        ids, tfs, dls = index.postings(tok)
+        ords, tfs = index.postings(tok)
+        dls = index.docs.lens[ords]
         idf = math.log(n / (index.df(tok) + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
             tf = tfs.astype(np.float64) / dls.astype(np.float64)
         tf[dls == 0] = 0.0
-        acc[np.searchsorted(union, ids)] += tf * idf
+        acc[np.searchsorted(union, ords)] += tf * idf
     keep = acc > 0  # search.py:102
-    ids, scores = union[keep], acc[keep]
-    order = np.lexsort((ids, -scores))
-    return ids[order], scores[order]
+    ords, scores = union[keep], acc[keep]
+    order = np.lexsort((ords, -scores))
+    return index.docs.ids[ords[order]], scores[order]
 
 
 def score_phrase(
@@ -388,7 +367,7 @@ def score_phrase(
         if len(cand) == 0:
             break
 
-    out_ids, out_n = [], []
+    out_ords, out_n = [], []
     for doc in cand.tolist():
         live = None
         for k, t in enumerate(tokens):
@@ -399,12 +378,12 @@ def score_phrase(
                 break
         n = len(live) if live is not None else 0
         if n:
-            out_ids.append(doc)
+            out_ords.append(doc)
             out_n.append(n)
-    ids = np.array(out_ids, dtype=np.int64)
+    ords = np.array(out_ords, dtype=np.int64)
     ns = np.array(out_n, dtype=np.int64)
-    order = np.lexsort((ids, -ns))
-    return ids[order], ns[order]
+    order = np.lexsort((ords, -ns))  # ordinals sort as doc ids do
+    return index.docs.ids[ords[order]], ns[order]
 
 
 def score_bm25_taat(
@@ -455,7 +434,7 @@ def score_bm25_taat(
         keep = scores >= kth
         hit, scores = hit[keep], scores[keep]
     order = np.lexsort((hit, -scores))[:top_k]
-    return index.ordinal_docs()[0][hit[order]], scores[order]
+    return index.docs.ids[hit[order]], scores[order]
 
 
 def score_bm25_wand(
@@ -495,10 +474,13 @@ class QueryScorer:
     ):
         if mode not in ("reference", "bm25", "bm25_wand"):
             raise ValueError(f"unknown scoring mode {mode!r}")
-        self.index = PostingsIndex(index_dir)
+        # one doc_meta read per scorer: its index and its page lookups
+        # share the one doc table
+        docs = DocStore(index_dir, pages=with_snippets)
+        self.index = PostingsIndex(index_dir, docs=docs)
         self.mode = mode
         self.top_k = top_k
-        self.docstore = DocStore(index_dir) if with_snippets else None
+        self.docstore = docs if with_snippets else None
         self._last: Optional[Tuple] = None  # (query, cut, ids, scores, total)
 
     def _score(self, query: str, need: int) -> Tuple[np.ndarray, np.ndarray, int]:

@@ -18,15 +18,16 @@ delta+varbyte-compressed posting blocks in two stages:
       reads exactly its co-located run files and runs ``merge_shard``: per
       term, the runs (disjoint doc sets) are decoded, their hashed doc ids
       mapped to doc *ordinals* (rank in the snapshot's ascending doc_meta
-      ids, so gaps are small), merge-sorted and re-encoded into fixed-size
-      blocks with df; many terms merge in one
-      vectorized call (no per-term Ray scheduling).  ``build_index`` derives
-      the key count from the corpus size (at least 64, ~7.8k docs per key
-      past 500k docs), so one key's postings stay worker-sized; stopword
-      filtering in code mode removes the worst Zipf offenders outright.
+      ids, as ``state.docstore`` defines them, so gaps are small),
+      merge-sorted and re-encoded into fixed-size blocks with df; many
+      terms merge in one vectorized call (no per-term Ray scheduling).
+      ``build_index`` derives the key count from the corpus size (at least
+      64, ~7.8k docs per key past 500k docs), so one key's postings stay
+      worker-sized; stopword filtering in code mode removes the worst Zipf
+      offenders outright.
 
 A block holds delta+varbyte ordinals, varbyte tfs and, optionally, the
-positions; scorers read doc lengths from ``doc_meta`` by ordinal.
+positions; scorers read doc lengths by ordinal from the doc table.
 ``build_index`` adds each block row's ``merge_key`` and writes one postings
 file per merge task, one row group per key, so the query side prunes a
 term's read to its key's row groups.
@@ -43,6 +44,7 @@ import pyarrow as pa
 from ..functions import codecs
 from ..functions.hashing import term_shard
 from ..functions.tokenizer import TOKENIZERS
+from ..state.docstore import find_ordinals
 
 RUN_SCHEMA = pa.schema(
     [
@@ -265,7 +267,7 @@ def make_merge_shard(
         group: pa.Table, doc_ids: np.ndarray, pos_enc=None
     ) -> pa.Table:
         """Vectorized merge: batch-decode every run in one codec pass, map
-        its hashed doc ids to ordinals (one ``searchsorted``), ONE
+        its hashed doc ids to ordinals (one ``find_ordinals``), ONE
         global lexsort over (term, ordinal) for all postings, block
         aggregates via reduceat at block starts, segmented re-encode at
         block boundaries — byte-identical blocks to the per-term path (the
@@ -291,9 +293,7 @@ def make_merge_shard(
         hashed = codecs.delta_decode_segments(
             codecs.varbyte_decode_concat(blobs_ids, ns_o), run_starts
         )
-        ords = np.searchsorted(doc_ids, hashed)
-        known = ords < len(doc_ids)
-        known[known] = doc_ids[ords[known]] == hashed[known]
+        ords, known = find_ordinals(doc_ids, hashed)
         if not known.all():
             raise ValueError(
                 f"runs hold postings of doc id {int(hashed[~known][0])}, "

@@ -58,9 +58,9 @@ DOC_META_SCHEMA = pa.schema(
         # forward store: the reference keeps full content in the documents
         # table (models.py:74) and reads it back for snippets/tf
         # (search.py:92,103); doc_meta is that store, parquet-compressed.
-        # Serving loads its page columns once and looks rows up by sorted
-        # doc_id (state/docstore.py): the ids are hashes, so row-group
-        # statistics span the whole id range and could never prune a scan
+        # state/docstore.py alone reads it as the doc table that defines
+        # doc ordinals; serving looks page rows up by ordinal: the ids are
+        # hashes, so row-group statistics could never prune a scan
         ("content", pa.large_string()),
     ]
 )

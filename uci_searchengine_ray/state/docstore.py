@@ -1,12 +1,16 @@
-"""Forward document store: point lookups of document rows by doc_id.
+"""The doc table: the one owner of a snapshot's doc ordinals and page rows.
+
+A doc's *ordinal* is its rank among the snapshot's ascending ``doc_meta``
+ids, and ``read_doc_meta`` is the one reader that defines it: the phase-2
+merge maps run ids to ordinals through it, posting blocks store them, and
+``DocStore`` holds the ids and token lengths by ordinal that scorers read.
 
 The reference reads ``Document`` rows back from SQLite for snippets and titles
-(search.py:92-111).  Here the store is the ``doc_meta`` parquet of the index
-snapshot.  ``DocStore`` reads its page-serving columns (``doc_id``, ``url``,
-``title`` and, when the snapshot stores it, ``content``) once, when it is
-built, and keeps them resident in input order next to a doc_id-sorted
-permutation.  A page lookup is then a binary search of the sorted ids plus one
-Arrow ``take``: O(page · log N) per query, not O(N).
+(search.py:92-111).  Here ``DocStore`` reads the page-serving columns of
+``doc_meta`` (``doc_id``, ``url``, ``title`` and, when the snapshot stores
+it, ``content``) once and keeps them resident in file order behind the one
+permutation.  A page lookup is then a binary search of the sorted ids plus
+one Arrow ``take``: O(page · log N) per query, not O(N).
 
 A predicate pushed into the parquet scan (``doc_id ∈ {...}``) cannot do this:
 doc ids are 63-bit stable hashes (``functions.hashing.stable_doc_id``), so every
@@ -16,65 +20,82 @@ each query would decompress all of ``doc_meta``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-import pyarrow.compute as pc
+import pyarrow as pa
 import pyarrow.dataset as pa_ds
+
+from ..stages.tokenize import DOC_META_SCHEMA
+from . import storage
 
 # the columns a result page needs; only these are held resident
 PAGE_COLUMNS = ("doc_id", "url", "title", "content")
 
 
+def read_doc_meta(index_dir: str, columns: Sequence[str]) -> Tuple[pa.Table, np.ndarray]:
+    """(rows, order): the snapshot's ``doc_meta`` rows in file order, one
+    chunk per column, and the stable permutation that sorts them by
+    ``doc_id``.  ``columns`` must include ``doc_id``; those the snapshot
+    does not store (``content`` on a ``store_content=False`` build) are
+    left out.  A snapshot without ``doc_meta`` files has no rows."""
+    fs, root = storage.resolve(index_dir)
+    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
+    dataset = (pa_ds.dataset(files, format="parquet", filesystem=fs) if files
+               else pa_ds.dataset(DOC_META_SCHEMA.empty_table()))
+    # one chunk per column: a take from a chunked column concatenates all
+    # of its chunks first, an O(N) copy on every fetch
+    rows = dataset.to_table(
+        columns=[c for c in columns if c in dataset.schema.names]
+    ).combine_chunks()
+    return rows, np.argsort(rows["doc_id"].to_numpy(), kind="stable")
+
+
+def find_ordinals(sorted_ids: np.ndarray, doc_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ordinals, found): each of ``doc_ids``' position in the ascending
+    ``sorted_ids``, and whether it is there (a missing id's ordinal names
+    a neighbour)."""
+    ords = np.searchsorted(sorted_ids, doc_ids)
+    found = ords < len(sorted_ids)
+    found[found] = sorted_ids[ords[found]] == doc_ids[found]
+    return ords, found
+
+
 def quarantine_listing(index_dir: str, limit: int = 1000):
     """Failed-document listing (SURVEY §2.6 K4; reference routes.py:411-416
     lists failed URLs ordered, limit 1000): doc_meta rows flagged failed
-    (null content at ingest), deterministic order, bounded."""
-    from . import storage
-
-    fs, root = storage.resolve(index_dir)
-    ds = pa_ds.dataset(
-        storage.join(root, "doc_meta"), format="parquet", filesystem=fs
-    )
-    tbl = ds.to_table(
-        columns=["doc_id", "url", "title", "failed"],
-        filter=pc.field("failed") == True,  # noqa: E712 — pyarrow expression
-    )
-    idx = pc.sort_indices(tbl, sort_keys=[("doc_id", "ascending")])
-    return tbl.take(idx).slice(0, limit)
+    (null content at ingest), in doc_id order, bounded."""
+    rows, order = read_doc_meta(index_dir, ("doc_id", "url", "title", "failed"))
+    failed = order[rows["failed"].to_numpy()[order]]
+    return rows.take(failed[:limit])
 
 
 class DocStore:
-    """Resident page-serving columns of one snapshot's ``doc_meta``.
-
-    The table stays in input order; ``_ids`` holds the doc ids sorted and
-    ``_order`` maps each sorted position back to its table row, so no second
-    (sorted) copy of the strings is ever made.  Memory is O(N) per store.
+    """One snapshot's doc table, read from ``doc_meta`` once: ``ids``
+    ascending (``ids[k]`` is the doc of ordinal k), ``lens`` (token lengths
+    by ordinal) and, with ``pages``, the page columns ``fetch`` serves, kept
+    in file order (``_order`` maps an ordinal to its row, so the strings are
+    never sorted).  Raises ValueError unless ``doc_meta`` holds exactly the
+    ``n_docs`` of stats.json: every ordinal past a missing doc would name
+    its neighbour.
     """
 
-    def __init__(self, index_dir: str):
-        from . import storage
-
+    def __init__(self, index_dir: str, pages: bool = True):
+        rows, self._order = read_doc_meta(
+            index_dir, ("doc_len", *PAGE_COLUMNS) if pages else ("doc_id", "doc_len"))
         fs, root = storage.resolve(index_dir)
-        dataset = pa_ds.dataset(
-            storage.join(root, "doc_meta"), format="parquet", filesystem=fs
-        )
+        n_docs = storage.read_json(fs, storage.join(root, "stats.json"))["n_docs"]
+        if rows.num_rows != n_docs:
+            raise ValueError(
+                f"index {index_dir!r}: doc_meta holds {rows.num_rows} docs, "
+                f"stats.json counts {n_docs}; the snapshot is inconsistent"
+            )
+        self.ids = rows["doc_id"].to_numpy()[self._order]
+        self.lens = rows["doc_len"].to_numpy()[self._order]
+        self._table = rows.drop_columns(["doc_len"])
         # content is optional in the store (EngineConfig.store_content=False
         # at lake scale); callers get rows without it and degrade gracefully
-        self._absent = set(PAGE_COLUMNS) - set(dataset.schema.names)
-        # one chunk per column: a take from a chunked column concatenates
-        # all of its chunks first, an O(N) copy on every fetch
-        self._table = dataset.to_table(
-            columns=[c for c in PAGE_COLUMNS if c not in self._absent]
-        ).combine_chunks()
-        # a snapshot without doc_meta files has no doc_id column: empty store
-        ids = (
-            np.empty(0, np.int64)
-            if "doc_id" in self._absent
-            else self._table.column("doc_id").to_numpy()
-        )
-        self._order = np.argsort(ids, kind="stable")
-        self._ids = ids[self._order]
+        self._absent = set(PAGE_COLUMNS) - set(self._table.column_names)
 
     def fetch(self, doc_ids: Iterable[int], columns=PAGE_COLUMNS) -> Dict[int, dict]:
         """``{doc_id: row}`` for the requested ids found in the store; ids
@@ -83,9 +104,6 @@ class DocStore:
         of the rows; other columns outside ``PAGE_COLUMNS`` raise KeyError."""
         cols = [c for c in columns if c not in self._absent]
         want = np.unique(np.fromiter(doc_ids, dtype=np.int64))
-        if not len(want) or not len(self._ids):
-            return {}
-        pos = np.searchsorted(self._ids, want)
-        found = self._ids[np.minimum(pos, len(self._ids) - 1)] == want
-        rows = self._table.select(cols).take(self._order[pos[found]])
+        ords, found = find_ordinals(self.ids, want)
+        rows = self._table.select(cols).take(self._order[ords[found]])
         return dict(zip(want[found].tolist(), rows.to_pylist()))
