@@ -82,20 +82,72 @@ def test_segmented_encode_matches_per_segment():
         n = int(rng.integers(1, 6))
         ids = np.sort(rng.integers(0, 1 << 40, size=n, dtype=np.int64))
         ids = np.unique(ids)
-        tfs = rng.integers(1, 300, n).astype(np.int64)
-        segs.append((ids, tfs))
+        tfs = rng.integers(1, 300, len(ids)).astype(np.int64)
+        # per posting, tf ascending token positions
+        pos = [np.sort(rng.choice(1 << 16, size=tf, replace=False))
+               for tf in tfs]
+        segs.append((ids, tfs, pos))
     flat_ids = np.concatenate([s[0] for s in segs])
     flat_tfs = np.concatenate([s[1] for s in segs])
+    flat_pos = np.concatenate([p for s in segs for p in s[2]])
     starts = np.cumsum([0] + [len(s[0]) for s in segs[:-1]])
 
     got_ids = codecs.varbyte_encode_segments(
         codecs.delta_encode_segments(flat_ids, starts), starts
     )
     got_tfs = codecs.varbyte_encode_segments(flat_tfs, starts)
-    for i, (ids, tfs) in enumerate(segs):
-        assert got_ids[i] == codecs.encode_ids(ids)
-        assert got_tfs[i] == codecs.encode_plain(tfs)
+    enc_ids, enc_tfs, enc_pos = codecs.encode_postings(
+        flat_ids, flat_tfs, starts,
+        codecs.position_deltas(flat_pos, flat_tfs),
+    )
+    for i, (ids, tfs, pos) in enumerate(segs):
+        assert got_ids[i] == enc_ids[i] == codecs.encode_ids(ids)
+        assert got_tfs[i] == enc_tfs[i] == codecs.encode_plain(tfs)
+        assert enc_pos[i] == codecs.encode_plain(
+            np.concatenate([codecs.delta_encode(p) for p in pos]))
         assert list(codecs.decode_ids(got_ids[i])) == list(ids)
+        got_pos = codecs.decode_positions([enc_pos[i]], tfs)
+        assert [p.tolist() for p in got_pos] == [p.tolist() for p in pos]
+    # without positions every positions blob is empty
+    assert codecs.encode_postings(flat_ids, flat_tfs, starts)[2] == (
+        [b""] * len(segs))
+
+
+def test_decode_postings_matches_per_block(built_index):
+    """For every term of the session index, one ``decode_postings`` pass
+    over its blocks equals the per-block decodes concatenated; a truncated
+    last blob and a wrong posting count both raise."""
+    import os
+
+    import pyarrow.dataset as pa_ds
+
+    tbl = pa_ds.dataset(
+        os.path.join(built_index, "postings"), format="parquet"
+    ).to_table(columns=["term", "block_id", "n", "doc_ids", "tfs"])
+    tbl = tbl.sort_by([("term", "ascending"), ("block_id", "ascending")])
+    per_term = {}
+    for t, n, ids_b, tfs_b in zip(*(tbl[c].to_pylist()
+                                    for c in ("term", "n", "doc_ids", "tfs"))):
+        per_term.setdefault(t, []).append((n, ids_b, tfs_b))
+    assert len(per_term) > 100
+    assert any(len(blocks) > 1 for blocks in per_term.values())
+    for t, blocks in per_term.items():
+        ns, ids_bs, tfs_bs = (list(c) for c in zip(*blocks))
+        ids, tfs = codecs.decode_postings(ids_bs, tfs_bs, ns)
+        assert ids.dtype == tfs.dtype == np.int64
+        assert ids.tolist() == np.concatenate(
+            [codecs.decode_ids(b) for b in ids_bs]).tolist(), t
+        assert tfs.tolist() == np.concatenate(
+            [codecs.decode_plain(b) for b in tfs_bs]).tolist(), t
+
+    ns, ids_bs, tfs_bs = (list(c) for c in zip(*max(per_term.values(), key=len)))
+    # a blob cut short loses a value or leaves an unterminated tail
+    with pytest.raises(ValueError):
+        codecs.decode_postings(ids_bs[:-1] + [ids_bs[-1][:-1]], tfs_bs, ns)
+    with pytest.raises(ValueError, match="truncated"):
+        codecs.decode_postings(ids_bs[:-1] + [ids_bs[-1] + b"\x01"], tfs_bs, ns)
+    with pytest.raises(ValueError, match="expected"):
+        codecs.decode_postings(ids_bs, tfs_bs, ns[:-1] + [ns[-1] + 1])
 
 
 def test_segmented_delta_rejects_descending_within_segment():

@@ -250,32 +250,33 @@ def test_catalog_register_same_second_collisions(tmp_path):
     assert set(names) <= listed
 
 
-def _merge_run(term: str, ids):
-    """One RUN_SCHEMA row dict for a term's (tf=1) posting run."""
+def _merge_run(term: str, ids, positional: bool = False):
+    """One RUN_SCHEMA row dict for a term's (tf=1) posting run; with
+    ``positional``, each posting's one position is 0."""
     import numpy as np
 
     from uci_searchengine_ray.functions import codecs
 
     ids = np.asarray(ids, dtype=np.int64)
-    starts = np.array([0], dtype=np.int64)
     ones = np.ones(len(ids), dtype=np.int64)
+    (ids_enc,), (tfs_enc,), (pos_enc,) = codecs.encode_postings(
+        ids, ones, [0], ones - 1 if positional else None
+    )
     return {
         "term": term,
         "merge_key": 0,
         "n": len(ids),
         "tf_sum": len(ids),
-        "ids_enc": codecs.varbyte_encode_segments(
-            codecs.delta_encode_segments(ids, starts), starts
-        )[0],
-        "tfs_enc": codecs.varbyte_encode_segments(ones, starts)[0],
-        "pos_enc": b"",
+        "ids_enc": ids_enc,
+        "tfs_enc": tfs_enc,
+        "pos_enc": pos_enc,
     }
 
 
 def test_duplicate_doc_id_on_block_boundary_rejected():
     """A duplicate landing EXACTLY on a block boundary must still raise.
 
-    delta_encode_segments resets its ascending check at block starts, so
+    The encoder resets its ascending check at block starts, so
     before the explicit within-term validation this exact layout (merged
     postings [0..127, 127, 129] with block_size=128: positions 127/128
     straddle the boundary) was silently accepted — emitting two blocks that
@@ -311,3 +312,34 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     # a run doc that the snapshot's doc list lacks cannot get an ordinal
     with pytest.raises(ValueError, match="doc id 129, which doc_meta lacks"):
         merge(group_ok, doc_ids[:-1])
+
+
+def test_merge_rejects_mixed_positional_runs_and_passes_empty_groups():
+    """A block's positions must cover all of its postings or none, so a
+    merge group mixing positional and non-positional runs is refused; an
+    empty group merges to an empty block table."""
+    import numpy as np
+    import pyarrow as pa
+    import pytest
+
+    from uci_searchengine_ray.functions import codecs
+    from uci_searchengine_ray.stages.postings import (
+        BLOCK_SCHEMA, RUN_SCHEMA, make_merge_shard)
+
+    merge = make_merge_shard(block_size=4)
+    doc_ids = np.arange(10)
+    mixed = pa.Table.from_pylist(
+        [_merge_run("t", [1, 3], positional=True), _merge_run("t", [5])],
+        schema=RUN_SCHEMA,
+    )
+    with pytest.raises(ValueError, match="mixes positional and non-positional"):
+        merge(mixed, doc_ids)
+    both = pa.Table.from_pylist(
+        [_merge_run("t", [1, 3], positional=True),
+         _merge_run("t", [5], positional=True)],
+        schema=RUN_SCHEMA,
+    )
+    (positions,) = merge(both, doc_ids)["positions"].to_pylist()
+    assert [p.tolist() for p in codecs.decode_positions([positions], [1, 1, 1])] == [
+        [0], [0], [0]]
+    assert merge(RUN_SCHEMA.empty_table(), doc_ids).equals(BLOCK_SCHEMA.empty_table())

@@ -44,7 +44,6 @@ def blocks(built_index):
 def test_snapshot_layout(built_index):
     assert os.path.exists(os.path.join(built_index, "stats.json"))
     assert glob.glob(os.path.join(built_index, "postings", "*.parquet"))
-    assert glob.glob(os.path.join(built_index, "term_stats", "*.parquet"))
     assert glob.glob(os.path.join(built_index, "doc_meta", "group=*", "*.parquet"))
     assert os.path.exists(os.path.join(built_index, "_manifest", "manifest.jsonl"))
 
@@ -127,10 +126,8 @@ def test_n_counts_empty_docs(built_index, corpus_rows):
     assert empties, "fixture must contain untokenizable docs"
 
 
-def test_term_stats_matches_blocks(built_index, blocks):
-    ts = pa_ds.dataset(
-        os.path.join(built_index, "term_stats"), format="parquet"
-    ).to_table().to_pylist()
-    from_blocks = {b["term"]: b["df"] for b in blocks}
-    assert {r["term"]: r["df"] for r in ts} == from_blocks
-    assert load_stats(built_index)["n_terms"] == len(from_blocks)
+def test_n_terms_counts_block_terms_without_term_stats(built_index, blocks):
+    """The blocks carry each term's df; no second (term, df) table is
+    written, and n_terms is the number of distinct block terms."""
+    assert not os.path.exists(os.path.join(built_index, "term_stats"))
+    assert load_stats(built_index)["n_terms"] == len({b["term"] for b in blocks})

@@ -22,14 +22,13 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _tables(path: str) -> dict:
-    """postings, term_stats and doc_meta of a snapshot as canonically
+    """postings and doc_meta of a snapshot as canonically
     sorted tables (row order and file layout are not part of the index)."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pa_ds
 
     out = {}
-    for sub, keys in (("postings", ["term", "block_id"]), ("term_stats", ["term"]),
-                      ("doc_meta", ["doc_id"])):
+    for sub, keys in (("postings", ["term", "block_id"]), ("doc_meta", ["doc_id"])):
         tbl = pa_ds.dataset(
             os.path.join(path, sub), format="parquet",
             partitioning="hive" if sub == "postings" else None,
@@ -52,22 +51,21 @@ def _assert_same_index(got: str, want: str) -> None:
 
 
 def _dir_digest(path: str) -> dict:
-    """Map of relative parquet path -> content hash of its logical rows.
+    """Map of snapshot subdir -> content hash of its logical rows.
 
     Parquet bytes can differ across writes (metadata timestamps), so hash the
     *data*: every file's table rows, canonically ordered.
     """
+    import pyarrow.compute as pc
     import pyarrow.dataset as pa_ds
 
     out = {}
-    for sub in ("postings", "term_stats"):
-        ds = pa_ds.dataset(os.path.join(path, sub), format="parquet",
-                           partitioning="hive" if sub == "postings" else None)
-        tbl = ds.to_table()
+    for sub in ("postings",):
+        tbl = pa_ds.dataset(os.path.join(path, sub), format="parquet",
+                            partitioning="hive").to_table()
         cols = sorted(tbl.column_names)
-        keys = ["term", "block_id"] if sub == "postings" else ["term"]
-        import pyarrow.compute as pc
-        idx = pc.sort_indices(tbl, sort_keys=[(k, "ascending") for k in keys])
+        idx = pc.sort_indices(tbl, sort_keys=[("term", "ascending"),
+                                              ("block_id", "ascending")])
         tbl = tbl.take(idx).select(cols)
         h = hashlib.sha256()
         for batch in tbl.to_batches():
@@ -109,8 +107,7 @@ def test_resume_identical_to_uninterrupted(ray_session, corpus, tmp_path_factory
         if r["partition"] not in survivors:
             shutil.rmtree(os.path.join(part, "runs", r["partition"]))
             shutil.rmtree(os.path.join(part, "doc_meta", r["partition"]))
-    for sub in ("postings", "term_stats"):
-        shutil.rmtree(os.path.join(part, sub))
+    shutil.rmtree(os.path.join(part, "postings"))
     os.remove(os.path.join(part, "stats.json"))
 
     build_index(corpus, part, CFG, mode="continue")
@@ -130,8 +127,11 @@ def test_rebuild_mode_redoes_merge_only(ray_session, corpus, tmp_path_factory):
     )
     assert runs_files
     mtimes = {f: os.path.getmtime(f) for f in runs_files}
+    # the (term, df) table older builds wrote next to the postings
+    os.makedirs(os.path.join(snap, "term_stats"))
     build_index(corpus, snap, CFG, mode="rebuild")
     assert _dir_digest(snap) == d1
+    assert not os.path.exists(os.path.join(snap, "term_stats"))
     # phase-1 outputs untouched (no re-tokenize)
     assert {f: os.path.getmtime(f) for f in runs_files} == mtimes
 
@@ -141,7 +141,7 @@ def test_rebuild_merges_runs_in_older_nested_layout(
 ):
     """Snapshots from older builds keep each run file one directory deeper
     (runs/group=G/merge_key=M/range_bucket=0/).  A rebuild over that layout
-    merges the same runs into value-identical postings and term_stats."""
+    merges the same runs into value-identical postings."""
     import shutil
 
     snap = str(tmp_path_factory.mktemp("nested") / "s")
@@ -183,8 +183,7 @@ def test_continue_ignores_crashed_group_dirs(ray_session, corpus, tmp_path_facto
         os.rename(d, d + ".tmp")
     manifest.drop_stage(snap, "runs", partitions=[last])
     manifest.drop_stage(snap, "postings")
-    for sub in ("postings", "term_stats"):
-        shutil.rmtree(os.path.join(snap, sub))
+    shutil.rmtree(os.path.join(snap, "postings"))
     os.remove(os.path.join(snap, "stats.json"))
 
     two = EngineConfig(mode="reference", block_size=16, ckpt_groups=2)

@@ -149,7 +149,6 @@ def test_partial_build_resumes_missing_groups(
     storage.rm_tree(fs, storage.join(root, "runs", "group=1"))
     storage.rm_tree(fs, storage.join(root, "doc_meta", "group=1"))
     storage.rm_tree(fs, storage.join(root, "postings"))
-    storage.rm_tree(fs, storage.join(root, "term_stats"))
 
     build_index(corpus, idx, cfg, mode="continue")
     assert load_stats(idx) == stats1

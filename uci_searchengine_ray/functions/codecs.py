@@ -1,5 +1,8 @@
 """Posting-list compression: delta + variable-byte (VByte) codecs, vectorized
-with numpy.
+with numpy.  This module alone knows the posting payload format: phase 1
+encodes its runs, phase 2 decodes runs and encodes blocks, and the query
+side decodes blocks, all through ``encode_postings``, ``decode_postings``
+and the position helpers below.
 
 The reference stores one SQLite row per posting (models.py:182-197) with no
 compression and no ordering guarantee (SURVEY.md §2.6 K5).  The rebuild keeps
@@ -9,8 +12,17 @@ is about N/df and mostly takes one or two bytes, plus varbyte tfs and
 optional delta-encoded positions.  Phase-1 runs still encode hashed 63-bit
 doc ids, whose gaps near 2^63/df take about 9 bytes each.
 
+Payload of one segment (a run or a block) of n postings:
+  ids        varbyte of [first id, gap1, gap2, ...] (gaps >= 1);
+  tfs        varbyte of the n tfs;
+  positions  per posting, its tf token positions as [first, gap, ...],
+             concatenated over the n postings, then varbyte'd (empty when
+             the index stores no positions).
+
 Encoding: classic VByte — 7 payload bits per byte, high bit set on the LAST
 byte of each integer (terminator convention), little-endian payload order.
+The terminator convention makes a concatenation of blobs one decodable
+stream, so many segments decode in one pass.
 
 Both encode and decode are numpy-vectorized (no per-integer Python loop): the
 encoder fills byte columns position-by-position (≤10 positions for uint64); the
@@ -21,35 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_MAX_BYTES = 10  # ceil(64 / 7)
-
 
 def varbyte_encode(values: np.ndarray) -> bytes:
     """Encode a 1-D array of non-negative integers (< 2**63) to VByte bytes."""
-    v = np.asarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    if v.size and int(v.max()) >= (1 << 63):
-        raise ValueError("varbyte_encode: values must be < 2**63")
-    # number of 7-bit groups per value (at least 1)
-    nbytes = np.ones(v.size, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nbytes += (tmp > 0).astype(np.int64)
-        tmp >>= np.uint64(7)
-    total = int(nbytes.sum())
-    out = np.empty(total, dtype=np.uint8)
-    # start offset of each value's byte run
-    starts = np.concatenate(([0], np.cumsum(nbytes)[:-1]))
-    rem = v.copy()
-    for pos in range(int(nbytes.max())):
-        mask = nbytes > pos
-        idx = starts[mask] + pos
-        payload = (rem[mask] & np.uint64(0x7F)).astype(np.uint8)
-        is_last = (nbytes[mask] == pos + 1).astype(np.uint8) << 7
-        out[idx] = payload | is_last
-        rem[mask] >>= np.uint64(7)
-    return out.tobytes()
+    return varbyte_encode_segments(values, [0])[0]
 
 
 def varbyte_decode(data: bytes) -> np.ndarray:
@@ -93,15 +80,16 @@ def varbyte_encode_segments(
     seg_starts = np.asarray(seg_starts, dtype=np.int64)
     if v.size == 0:
         return [b""] * len(seg_starts)
-    if v.size and int(v.max()) >= (1 << 63):
+    if int(v.max()) >= (1 << 63):
         raise ValueError("varbyte_encode: values must be < 2**63")
+    # number of 7-bit groups per value (at least 1)
     nbytes = np.ones(v.size, dtype=np.int64)
     tmp = v >> np.uint64(7)
     while tmp.any():
         nbytes += (tmp > 0).astype(np.int64)
         tmp >>= np.uint64(7)
-    total = int(nbytes.sum())
-    out = np.empty(total, dtype=np.uint8)
+    out = np.empty(int(nbytes.sum()), dtype=np.uint8)
+    # start offset of each value's byte run
     starts = np.concatenate(([0], np.cumsum(nbytes)[:-1]))
     rem = v.copy()
     for pos in range(int(nbytes.max())):
@@ -112,7 +100,7 @@ def varbyte_encode_segments(
         out[idx] = payload | is_last
         rem[mask] >>= np.uint64(7)
     blob = out.tobytes()
-    byte_cuts = np.concatenate((starts[seg_starts], [total]))
+    byte_cuts = np.concatenate((starts[seg_starts], [out.size]))
     return [
         blob[byte_cuts[i] : byte_cuts[i + 1]] for i in range(len(seg_starts))
     ]
@@ -142,15 +130,7 @@ def delta_encode_segments(
 
 def delta_encode(sorted_ids: np.ndarray) -> np.ndarray:
     """Strictly-ascending int array -> [first, gap1, gap2, ...] (gaps >= 1)."""
-    a = np.asarray(sorted_ids, dtype=np.int64)
-    if a.size == 0:
-        return a.astype(np.uint64)
-    d = np.diff(a)
-    if a.size > 1 and int(d.min()) <= 0:
-        raise ValueError("delta_encode requires strictly ascending input")
-    if int(a[0]) < 0:
-        raise ValueError("delta_encode requires non-negative ids")
-    return np.concatenate(([a[0]], d)).astype(np.uint64)
+    return delta_encode_segments(sorted_ids, [0])
 
 
 def delta_decode(deltas: np.ndarray) -> np.ndarray:
@@ -161,8 +141,8 @@ def varbyte_decode_concat(blobs, counts: np.ndarray) -> np.ndarray:
     """Decode MANY varbyte blobs in one pass (terminator convention makes the
     concatenation decodable as a single stream).  ``counts`` is unused for
     decoding (values self-delimit) but validates the result length — the
-    decode-side twin of ``varbyte_encode_segments`` for the phase-2 merge,
-    where per-run decode calls dominated otherwise."""
+    decode-side twin of ``varbyte_encode_segments``: per-run or per-block
+    decode calls cost more in numpy call overhead than in bytes."""
     vals = varbyte_decode(b"".join(blobs))
     expect = int(np.asarray(counts).sum())
     if len(vals) != expect:
@@ -184,6 +164,68 @@ def delta_decode_segments(
     base = np.zeros(len(seg_starts), dtype=np.uint64)
     base[1:] = v[seg_starts[1:] - 1]
     return (v - np.repeat(base, seg_lens)).astype(np.int64)
+
+
+def _exclusive_cumsum(counts) -> np.ndarray:
+    """Start index of each segment of the given lengths."""
+    c = np.asarray(counts, dtype=np.int64)
+    out = np.zeros(c.size, dtype=np.int64)
+    np.cumsum(c[:-1], out=out[1:])
+    return out
+
+
+def encode_postings(ids, tfs, starts, pos_deltas=None):
+    """Postings sorted by (segment, id) → one (ids, tfs, positions) blob per
+    segment, as three lists.  ``starts`` are the segment start indices
+    (the first is 0): phase 1 passes its run starts, phase 2 its block
+    starts.  ``pos_deltas`` holds ``tfs[i]`` values per posting (see
+    ``position_deltas``); without it every positions blob is empty.
+    Byte-identical to ``encode_ids`` / ``encode_plain`` per segment, with
+    the numpy call overhead paid once for the whole batch."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ids_blobs = varbyte_encode_segments(delta_encode_segments(ids, starts), starts)
+    tfs_blobs = varbyte_encode_segments(tfs, starts)
+    if pos_deltas is None:
+        pos_blobs = [b""] * len(starts)
+    else:
+        pos_blobs = varbyte_encode_segments(
+            pos_deltas, _exclusive_cumsum(tfs)[starts]
+        )
+    return ids_blobs, tfs_blobs, pos_blobs
+
+
+def decode_postings(ids_blobs, tfs_blobs, counts):
+    """(ids, tfs) of consecutive segments of ``counts[i]`` postings each,
+    concatenated: one varbyte pass per column over the joined blobs, then
+    one delta pass with a reset at each segment start.  A truncated stream
+    or a ``counts`` sum that does not match the decoded length raises
+    ``ValueError``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ids = delta_decode_segments(
+        varbyte_decode_concat(ids_blobs, counts), _exclusive_cumsum(counts)
+    )
+    tfs = varbyte_decode_concat(tfs_blobs, counts).astype(np.int64)
+    return ids, tfs
+
+
+def position_deltas(positions: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+    """Flat absolute token positions (``tfs[i]`` ascending ones per posting)
+    → the flat deltas ``encode_postings`` takes, reset at each posting."""
+    return delta_encode_segments(positions, _exclusive_cumsum(tfs))
+
+
+def decode_position_deltas(pos_blobs, tfs: np.ndarray) -> np.ndarray:
+    """The flat per-posting position deltas of joined positions blobs whose
+    postings have term frequencies ``tfs`` (one varbyte pass)."""
+    return varbyte_decode_concat(pos_blobs, tfs)
+
+
+def decode_positions(pos_blobs, tfs: np.ndarray) -> list:
+    """Per posting, its absolute token positions: the flat deltas, then one
+    cumsum-with-resets pass (not one numpy call per posting), split."""
+    starts = _exclusive_cumsum(tfs)
+    absolute = delta_decode_segments(decode_position_deltas(pos_blobs, tfs), starts)
+    return np.split(absolute, starts[1:])
 
 
 def encode_ids(sorted_ids: np.ndarray) -> bytes:

@@ -21,12 +21,13 @@ Dataflow (all Ray Data, streaming, zero-copy Arrow batches):
     driver reads the ascending doc_meta ids once and shares them through
     one ``ray.put``), yielding one block table per key, tagged with its
     merge_key → one postings file per task, one row group per key (the
-    query side prunes a term's read to its key's row groups)
-    term_stats (term, df) computed PER MERGE KEY inside the same task from
-    the (term, n) columns of the table it merges — per-key memory is
-    bounded by vocab/keys and the driver never materializes the
-    vocabulary (VERDICT r1 item #2); stats.json with N / avgdl /
-    total_tokens / n_terms.  One merge key's postings must fit one worker.
+    query side prunes a term's read to its key's row groups).  A block
+    row's df is its term's df, so the snapshot keeps no separate term
+    table and the driver never materializes the vocabulary (VERDICT r1
+    item #2); stats.json with N / avgdl / total_tokens / n_terms, the
+    count of block-0 rows.  One merge key's postings must fit one worker.
+    Run and block payloads are encoded and decoded by ``functions.codecs``
+    alone; this module moves them as opaque columns.
 
 The build sizes itself (``plan_build``): at most one footer scan of the
 corpus and one cluster-resource query per build give the checkpoint-group
@@ -61,6 +62,7 @@ import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pa_ds
 
 import ray.data
@@ -151,6 +153,13 @@ def _sum_column(fs, dir_path: str, column: str) -> int:
     return total
 
 
+def _count_rows(fs, dir_path: str, flt) -> int:
+    files = storage.ls_files(fs, dir_path, suffix=".parquet")
+    if not files:
+        return 0
+    return pa_ds.dataset(files, format="parquet", filesystem=fs).count_rows(filter=flt)
+
+
 def build_index(
     corpus_path: str,
     index_dir: str,
@@ -170,6 +179,7 @@ def build_index(
         storage.rm_tree(fs, root)
     storage.makedirs(fs, root)
     if mode == "rebuild":
+        # term_stats/ is what older builds wrote next to the postings
         for sub in (STAGE_POSTINGS, "term_stats"):
             storage.rm_tree(fs, storage.join(root, sub))
         manifest.drop_stage(index_dir, STAGE_POSTINGS)
@@ -343,15 +353,14 @@ def build_index(
     post_rows = manifest.stage_metrics(index_dir, STAGE_POSTINGS)
     if post_rows and post_rows[-1].get("runs_fp") != runs_fp:
         manifest.drop_stage(index_dir, STAGE_POSTINGS)
-        for sub in (STAGE_POSTINGS, "term_stats"):
+        for sub in (STAGE_POSTINGS, "term_stats"):  # as in rebuild above
             storage.rm_tree(fs, storage.join(root, sub))
 
     # ---- phase 2: merge runs → blocks → postings parquet (NO shuffle:
     # runs are already key-partitioned on disk).  The driver lists the
     # manifest groups' run files once; one task per CPU takes a slice of
-    # the keys and, per key, reads that key's files once, derives the key's
-    # term_stats slice from the (term, n) columns of the same table and
-    # yields the key's blocks — no driver-side vocabulary aggregate. ----
+    # the keys and, per key, reads that key's files once and yields the
+    # key's blocks — no driver-side vocabulary aggregate. ----
     if "all" not in manifest.completed(index_dir, STAGE_POSTINGS):
         merge = make_merge_shard(block_size=cfg.block_size)
         meta, order = read_doc_meta(index_dir, ["doc_id"])
@@ -364,9 +373,6 @@ def build_index(
             for p in storage.ls_files(fs, gdir, suffix=".parquet"):
                 key_dir = p[len(gdir) + 1:].split("/", 1)[0]
                 key_paths[int(key_dir[len("merge_key="):])].append(p)
-        ts_dir = storage.join(root, "term_stats")
-        storage.rm_tree(fs, ts_dir)
-        storage.makedirs(fs, ts_dir)
 
         def merge_keys(batch):
             doc_ids = ray.get(doc_ids_ref)
@@ -376,18 +382,7 @@ def build_index(
                 if not paths:
                     continue
                 tbl = pa_ds.dataset(paths, format="parquet", filesystem=fs).to_table(
-                    columns=["term", "n", "tf_sum", "ids_enc", "tfs_enc", "pos_enc"])
-                ts = (
-                    tbl.select(["term", "n"])
-                    .group_by("term")
-                    .aggregate([("n", "sum")])
-                    .rename_columns(["term", "df"])
-                )
-                ts = ts.set_column(1, "df", ts["df"].cast("int64"))
-                if ts.num_rows:
-                    storage.write_table_idempotent(
-                        fs, ts, ts_dir, f"ts-key{key}.parquet"
-                    )
+                    columns=["term", "n", "ids_enc", "tfs_enc", "pos_enc"])
                 out = merge(tbl, doc_ids)
                 yield out.add_column(1, "merge_key", pa.array(
                     [key] * out.num_rows, pa.int32()))
@@ -402,7 +397,7 @@ def build_index(
         blocks.write_parquet(postings_staged.path, filesystem=fs)
         postings_staged.commit()
 
-        n_terms = storage.parquet_rows(ts_dir, fs)
+        n_terms = _count_rows(fs, postings_staged.final, pc.field("block_id") == 0)
         stats = {
             "format": SNAPSHOT_FORMAT,
             "n_docs": n_docs,

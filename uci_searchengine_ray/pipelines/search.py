@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -74,25 +74,37 @@ class _LRU(OrderedDict):
         self.nbytes -= self._sizes.pop(term)
 
 
+class _Blocks(NamedTuple):
+    """One term's encoded blocks in block order: each block's posting count
+    and its three payload blobs (``functions.codecs`` decodes them)."""
+
+    n: np.ndarray
+    doc_ids: List[bytes]
+    tfs: List[bytes]
+    positions: List[bytes]
+
+
 class PostingsIndex:
-    """Lazily-loading view of one snapshot's posting blocks + term stats.
+    """Lazily-loading view of one snapshot's posting blocks and term dfs.
 
     ``__init__`` loads ONLY block metadata (each block's term and df) —
     never the binary payloads: at 100× corpus the per-actor resident
     metadata stays ~1/1000 of the index bytes (VERDICT r1 "What's wrong"
-    #1).  Payload columns (the delta+varbyte blobs) are fetched on demand,
-    all of one query's terms in ONE parquet scan (``prefetch``), and
-    LRU-cached under a byte budget.  Merge keys hash terms, so every row
-    group spans the whole vocabulary and term min/max statistics prune
-    nothing; the scan prunes by merge key instead.  Each block row carries
-    its ``merge_key`` (``term_shard(term, stats["num_merge_groups"])``) and
-    the build writes one row group per key, so a term's read touches only
-    its key's row groups.
+    #1).  Payload columns (each block's posting count and encoded blobs)
+    are fetched on demand, all of one query's terms in ONE parquet scan
+    (``prefetch``), and LRU-cached under a byte budget.  Merge keys hash
+    terms, so every row group spans the whole vocabulary and term min/max
+    statistics prune nothing; the scan prunes by merge key instead.  Every
+    block row of a format-2 snapshot carries its ``merge_key``
+    (``term_shard(term, stats["num_merge_groups"])``) and the build writes
+    one row group per key, so a term's read touches only its key's row
+    groups.
 
     The index speaks doc *ordinals*, as its blocks store them:
     ``postings(term)`` is (ordinals, tfs).  ``docs`` is the doc table that
     defines them (``DocStore``; a ``QueryScorer`` hands in its own).  Blocks
-    stay varbyte-encoded until touched; decoded postings and BM25 (doc
+    stay encoded until touched, and a term's blocks decode in one
+    ``codecs.decode_postings`` pass; decoded postings and BM25 (doc
     ordinal, contribution) lists are LRU-cached per term, and the three
     caches share the one byte budget.
     """
@@ -131,7 +143,7 @@ class PostingsIndex:
         self._budget = payload_budget_bytes
         self._pinned: frozenset = frozenset()  # the current query's terms
         self._dataset = None
-        self._num_keys = None  # merge keys, when blocks carry merge_key
+        self._num_keys = int(self.stats["num_merge_groups"])
         self.meta_bytes = 0  # resident block-metadata accounting (bench)
         self.blocks_decoded = 0  # posting blocks decoded over the lifetime
 
@@ -139,9 +151,6 @@ class PostingsIndex:
             return  # empty-but-valid snapshot
         self._dataset = pa_ds.dataset(postings_path, format="parquet",
                                       filesystem=fs)
-        if "merge_key" in self._dataset.schema.names:
-            # an absent column would read as null and filter out every row
-            self._num_keys = int(self.stats["num_merge_groups"])
         tbl = self._dataset.to_table(columns=["term", "df"])
         self.meta_bytes = tbl.nbytes
         for term, df in zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()):
@@ -192,22 +201,18 @@ class PostingsIndex:
         if not missing:
             return
         tbl = self._dataset.to_table(
-            columns=["term", "block_id", *self._PAYLOAD_COLS],
+            columns=["term", "block_id", "n", *self._PAYLOAD_COLS],
             filter=self._scan_filter(missing),
         )
         by_term: Dict[str, list] = {t: [] for t in missing}
-        for t, bid, ids_b, tfs_b, pos_b in zip(
-            tbl["term"].to_pylist(),
-            tbl["block_id"].to_pylist(),
-            tbl["doc_ids"].to_pylist(),
-            tbl["tfs"].to_pylist(),
-            tbl["positions"].to_pylist(),
-        ):
-            by_term[t].append((bid, ids_b, tfs_b, pos_b))
+        for row in zip(*(tbl[c].to_pylist() for c in tbl.column_names)):
+            by_term[row[0]].append(row[1:])
         for t, rows in by_term.items():
             rows.sort(key=lambda r: r[0])
-            self._payloads.put(t, [r[1:] for r in rows],
-                               sum(len(b) for r in rows for b in r[1:]))
+            _, ns, *blobs = zip(*rows)
+            blocks = _Blocks(np.array(ns, dtype=np.int64), *map(list, blobs))
+            self._payloads.put(t, blocks, blocks.n.nbytes + sum(
+                len(b) for c in blobs for b in c))
         self._evict()
 
     def _scan_filter(self, terms: Sequence[str]):
@@ -215,13 +220,10 @@ class PostingsIndex:
         prune row groups by statistics), then the terms themselves."""
         import pyarrow.compute as pc
 
-        flt = pc.field("term").isin(list(terms))
-        if self._num_keys is None:
-            return flt
         keys = sorted({term_shard(t, self._num_keys) for t in terms})
-        return pc.field("merge_key").isin(keys) & flt
+        return pc.field("merge_key").isin(keys) & pc.field("term").isin(list(terms))
 
-    def _payload(self, term: str) -> list:
+    def _payload(self, term: str) -> "_Blocks":
         got = self._payloads.get(term)
         if got is None:
             self.prefetch([term])
@@ -232,34 +234,28 @@ class PostingsIndex:
 
     def decode_block(self, term: str, block_idx: int):
         """(doc ordinals, tfs) of one block of ``term``."""
-        b = self._payload(term)[block_idx]
+        b = self._payload(term)
+        i = slice(block_idx, block_idx + 1)
         self.blocks_decoded += 1
-        return codecs.decode_ids(b[0]), codecs.decode_plain(b[1])
+        return codecs.decode_postings(b.doc_ids[i], b.tfs[i], b.n[i])
 
     def positions(self, term: str) -> List[np.ndarray]:
         """Per-posting absolute token positions for a term (requires an index
         built with store_positions=True), aligned with ``postings(term)``."""
-        out: List[np.ndarray] = []
-        for b in self._payload(term):
-            if not b[2]:
-                raise ValueError(
-                    f"index has no positional payload for term {term!r} "
-                    "(build with EngineConfig(store_positions=True))"
-                )
-            flat = codecs.varbyte_decode(b[2])
-            counts = codecs.decode_plain(b[1])
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            # ONE cumsum-with-resets pass (delta → absolute), then split —
-            # not one numpy call per posting
-            absolute = codecs.delta_decode_segments(flat, starts)
-            out.extend(np.split(absolute, starts[1:]))
-        return out
+        b = self._payload(term)
+        if not all(b.positions):
+            raise ValueError(
+                f"index has no positional payload for term {term!r} "
+                "(build with EngineConfig(store_positions=True))"
+            )
+        return codecs.decode_positions(b.positions, self.postings(term)[1])
 
     def _decode(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(doc ordinals, tfs) of every block of ``term``; ordinals past
-        the last doc (a corrupt block) raise ValueError."""
-        parts = [self.decode_block(term, i) for i in range(self.n_blocks(term))]
-        ords, tfs = (np.concatenate(col) for col in zip(*parts))
+        """(doc ordinals, tfs) of every block of ``term`` in one codec pass;
+        ordinals past the last doc (a corrupt block) raise ValueError."""
+        b = self._payload(term)
+        ords, tfs = codecs.decode_postings(b.doc_ids, b.tfs, b.n)
+        self.blocks_decoded += len(b.n)
         if ords[-1] >= self.n_docs:
             raise ValueError(
                 f"index {self.index_dir!r}: term {term!r} has a posting for "

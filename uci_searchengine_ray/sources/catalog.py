@@ -4,7 +4,7 @@ Rebuild of the reference's database-management surface (SURVEY.md §2.1
 S5-S7): one SQLite file per named database, switchable / uploadable /
 downloadable / deletable at runtime (connection.py:36-40,155-179;
 routes.py:62-130,440-460).  Here a "database" is an index snapshot directory
-(postings shards + term_stats + doc_meta + stats.json + manifest); the catalog
+(runs + postings + doc_meta + stats.json + manifest); the catalog
 is a root directory of named snapshots plus a small JSON state file recording
 which snapshot is active.
 

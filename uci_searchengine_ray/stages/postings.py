@@ -15,19 +15,23 @@ delta+varbyte-compressed posting blocks in two stages:
       IS the phase-1→2 exchange: a disk-backed shuffle with no sort.
 
   phase 2 — each merge task takes a slice of the merge keys and, per key,
-      reads exactly its co-located run files and runs ``merge_shard``: per
-      term, the runs (disjoint doc sets) are decoded, their hashed doc ids
-      mapped to doc *ordinals* (rank in the snapshot's ascending doc_meta
-      ids, as ``state.docstore`` defines them, so gaps are small),
-      merge-sorted and re-encoded into fixed-size blocks with df; many
-      terms merge in one vectorized call (no per-term Ray scheduling).
+      reads exactly its co-located run files and makes one ``merge_shard``
+      call: per term, the runs (disjoint doc sets) are decoded, their
+      hashed doc ids mapped to doc *ordinals* (rank in the snapshot's
+      ascending doc_meta ids, as ``state.docstore`` defines them, so gaps
+      are small), merge-sorted and re-encoded into fixed-size blocks with
+      df; many terms merge in one vectorized call (no per-term Ray
+      scheduling).
       ``build_index`` derives the key count from the corpus size (at least
       64, ~7.8k docs per key past 500k docs), so one key's postings stay
       worker-sized; stopword filtering in code mode removes the worst Zipf
       offenders outright.
 
-A block holds delta+varbyte ordinals, varbyte tfs and, optionally, the
-positions; scorers read doc lengths by ordinal from the doc table.
+A block holds the ordinals, tfs and, optionally, the positions of up to
+``block_size`` postings; scorers read doc lengths by ordinal from the doc
+table.  ``functions.codecs`` alone knows how run and block payloads are
+encoded: both phases call its ``encode_postings`` and the merge its
+``decode_postings``, never a varbyte or delta primitive.
 ``build_index`` adds each block row's ``merge_key`` and writes one postings
 file per merge task, one row group per key, so the query side prunes a
 term's read to its key's row groups.
@@ -54,8 +58,7 @@ RUN_SCHEMA = pa.schema(
         ("tf_sum", pa.int64()),
         ("ids_enc", pa.large_binary()),
         ("tfs_enc", pa.large_binary()),
-        # optional positional payload: per posting, delta-encoded token
-        # positions (tf_i values each), concatenated then varbyte'd; empty
+        # optional positional payload (codecs.encode_postings); empty
         # bytes when positions are disabled
         ("pos_enc", pa.large_binary()),
     ]
@@ -192,10 +195,7 @@ class TokenizeEncodeRuns:
             self._write_meta_sidecar(batch, doc_ids, doc_lens_out)
 
         if not terms:
-            return pa.table(
-                {f.name: pa.array([], f.type) for f in RUN_SCHEMA},
-                schema=RUN_SCHEMA,
-            )
+            return RUN_SCHEMA.empty_table()
 
         term_arr = np.asarray(terms, dtype=object)
         reps = np.asarray(used_n, dtype=np.int64)
@@ -209,38 +209,22 @@ class TokenizeEncodeRuns:
         brk = np.flatnonzero(term_arr[1:] != term_arr[:-1]) + 1
         starts = np.concatenate(([0], brk, [len(term_arr)]))
         seg_starts = starts[:-1]
+        # a posting's tf is its count of positions
+        pos_deltas = (
+            codecs.position_deltas(np.concatenate(post_pos), tf_arr)
+            if want_pos else None
+        )
         # ONE vectorized encode pass per payload column, split at run
         # boundaries — byte-identical to per-run encoding but without ~3
         # numpy codec calls per tiny run (65% of stage time, profiled)
-        ids_enc = codecs.varbyte_encode_segments(
-            codecs.delta_encode_segments(doc_arr, seg_starts), seg_starts
+        ids_enc, tfs_enc, pos_enc = codecs.encode_postings(
+            doc_arr, tf_arr, seg_starts, pos_deltas
         )
-        tfs_enc = codecs.varbyte_encode_segments(tf_arr, seg_starts)
         run_terms = term_arr[seg_starts]
         tf_sums = np.add.reduceat(tf_arr, seg_starts)
         merge_keys = [
             term_shard(t, self._num_merge_keys) for t in run_terms
         ]
-        if want_pos:
-            # positions of every posting concatenated once: delta-encode
-            # with resets at POSTING boundaries, varbyte-split at RUN
-            # boundaries — byte-identical to per-posting delta + per-run
-            # varbyte, without one codec call per posting
-            pos_lens = np.fromiter(
-                (len(p) for p in post_pos), dtype=np.int64, count=len(post_pos)
-            )
-            flat_pos = (
-                np.concatenate(post_pos)
-                if post_pos
-                else np.empty(0, dtype=np.int64)
-            )
-            posting_starts = np.concatenate(([0], np.cumsum(pos_lens)[:-1]))
-            deltas = codecs.delta_encode_segments(flat_pos, posting_starts)
-            pos_enc = codecs.varbyte_encode_segments(
-                deltas, posting_starts[seg_starts]
-            )
-        else:
-            pos_enc = [b""] * len(seg_starts)
 
         return pa.table(
             {
@@ -263,35 +247,43 @@ def make_merge_shard(
     the snapshot's ascending doc ids → final block rows (``BLOCK_SCHEMA``),
     whose ``doc_ids`` hold each doc's ordinal (its position in those ids)."""
 
-    def merge_shard_vectorized(
-        group: pa.Table, doc_ids: np.ndarray, pos_enc=None
-    ) -> pa.Table:
-        """Vectorized merge: batch-decode every run in one codec pass, map
-        its hashed doc ids to ordinals (one ``find_ordinals``), ONE
-        global lexsort over (term, ordinal) for all postings, block
-        aggregates via reduceat at block starts, segmented re-encode at
-        block boundaries — byte-identical blocks to the per-term path (the
-        per-run decode / per-block encode calls dominated phase 2
-        otherwise).
+    def merge_shard(group: pa.Table, doc_ids: np.ndarray) -> pa.Table:
+        """Decode every run in one codec pass, map its hashed doc ids to
+        ordinals (one ``find_ordinals``), ONE global lexsort over (term,
+        ordinal) for all postings, block aggregates at block starts and one
+        segmented re-encode at block boundaries — many terms per call, no
+        per-term or per-block codec call.
 
-        Positional runs (``pos_enc``) never need absolute positions: each
-        posting's payload is already a self-contained delta stream, so the
-        merge is a SEGMENT PERMUTATION into the sorted posting order (one
-        np.repeat-built gather index) plus a varbyte split at block
-        boundaries."""
+        Positional runs never need absolute positions: each posting's
+        payload is already a self-contained delta stream, so the merge is a
+        SEGMENT PERMUTATION of the flat deltas into the sorted posting
+        order (one np.repeat-built gather index)."""
+        if group.num_rows == 0:
+            return BLOCK_SCHEMA.empty_table()
+        pos_enc = group["pos_enc"].to_pylist()
+        positional = [len(p) > 0 for p in pos_enc]
+        if any(positional) and not all(positional):
+            # a block whose position payload covers only SOME postings
+            # would be silently mis-split by the query side (positions are
+            # cut at cumsum(tf) boundaries), so this state is a build-config
+            # error, not a mergeable input — build_index pins
+            # store_positions in build_config.json to prevent it; reject
+            # clearly if reached through direct use
+            raise ValueError(
+                "merge group mixes positional and non-positional runs "
+                "(store_positions changed between builds of the same "
+                "index?) — rebuild with mode='fresh' or a consistent "
+                "store_positions"
+            )
+
         terms = np.asarray(group["term"].to_pylist(), dtype=object)
-        ns = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         run_order = np.argsort(terms, kind="stable")
         terms_o = terms[run_order]
-        ns_o = ns[run_order]
+        ns_o = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)[run_order]
         ids_enc = group["ids_enc"].to_pylist()
         tfs_enc = group["tfs_enc"].to_pylist()
-        blobs_ids = [ids_enc[j] for j in run_order]
-        blobs_tfs = [tfs_enc[j] for j in run_order]
-
-        run_starts = np.concatenate(([0], np.cumsum(ns_o)[:-1]))
-        hashed = codecs.delta_decode_segments(
-            codecs.varbyte_decode_concat(blobs_ids, ns_o), run_starts
+        hashed, tfs_pre = codecs.decode_postings(
+            [ids_enc[j] for j in run_order], [tfs_enc[j] for j in run_order], ns_o
         )
         ords, known = find_ordinals(doc_ids, hashed)
         if not known.all():
@@ -300,33 +292,30 @@ def make_merge_shard(
                 "which doc_meta lacks: the snapshot's runs and doc_meta "
                 "disagree"
             )
-        tfs_all = codecs.varbyte_decode_concat(blobs_tfs, ns_o).astype(np.int64)
 
         # distinct terms (runs are term-sorted): per-term posting segments
         t_brk = np.flatnonzero(terms_o[1:] != terms_o[:-1]) + 1
-        t_run_starts = np.concatenate(([0], t_brk))          # run index
-        uniq_terms = terms_o[t_run_starts]
+        uniq_terms = terms_o[np.concatenate(([0], t_brk))]
         run_term_rank = np.zeros(len(terms_o), dtype=np.int64)
         run_term_rank[t_brk] = 1
         run_term_rank = np.cumsum(run_term_rank)             # per run
         post_term_rank = np.repeat(run_term_rank, ns_o)      # per posting
 
         o = np.lexsort((ords, post_term_rank))               # ONE global sort
-        tfs_pre = tfs_all  # pre-sort per-posting tf = position-segment lens
-        ords, tfs_all = ords[o], tfs_all[o]
+        ords, tfs_all = ords[o], tfs_pre[o]
 
         seg_lens = np.bincount(post_term_rank, minlength=len(uniq_terms)).astype(np.int64)
         seg_starts = np.concatenate(([0], np.cumsum(seg_lens)[:-1]))
 
         # duplicate-doc_id detection must be WITHIN-term and must not lean on
-        # the encoder: delta_encode_segments resets its ascending check at
-        # every block start, so a duplicate landing exactly on a block
-        # boundary would be silently accepted (block i's last doc equal to
-        # block i+1's first, which the scorer would count twice).  After the
-        # lexsort ordinals are ascending within each term, so any adjacent equal
-        # pair with equal term rank is a duplicate; the term-rank mask also
-        # keeps a legitimate cross-term coincidence (last doc of term A ==
-        # first doc of term B) from being misreported.
+        # the encoder: its ascending check resets at every block start, so
+        # a duplicate landing exactly on a block boundary would be silently
+        # accepted (block i's last doc equal to block i+1's first, which the
+        # scorer would count twice).  After the lexsort ordinals are
+        # ascending within each term, so any adjacent equal pair with equal
+        # term rank is a duplicate; the term-rank mask also keeps a
+        # legitimate cross-term coincidence (last doc of term A == first doc
+        # of term B) from being misreported.
         ptr_sorted = post_term_rank[o]
         dup = np.flatnonzero(
             (ords[1:] == ords[:-1]) & (ptr_sorted[1:] == ptr_sorted[:-1])
@@ -339,10 +328,8 @@ def make_merge_shard(
                 "path, commit) identity appears in more than one corpus file"
             )
 
-        # df per term: a term's postings all sit in this merge key
-        dfs = seg_lens
-
-        # blocks per term
+        # blocks per term; df per term is its segment length, since a
+        # term's postings all sit in this merge key
         nb = (seg_lens + block_size - 1) // block_size
         total_blocks = int(nb.sum())
         term_of_block = np.repeat(np.arange(len(uniq_terms)), nb)
@@ -355,40 +342,30 @@ def make_merge_shard(
             (seg_starts + seg_lens)[term_of_block],
         )
 
-        # (duplicates were rejected above; the codec's own ascending check
-        # remains as a backstop for non-block-boundary corruption)
-        ids_b = codecs.varbyte_encode_segments(
-            codecs.delta_encode_segments(ords, blk_starts), blk_starts
-        )
-        tfs_b = codecs.varbyte_encode_segments(tfs_all, blk_starts)
-
-        if pos_enc is not None:
-            # decode every run's flat delta stream at once (values per run =
-            # tf_sum), permute per-posting segments into sorted order via a
-            # gather index, split at block boundaries
-            blobs_pos = [pos_enc[j] for j in run_order]
-            tfsum_o = (
-                group["tf_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )[run_order]
-            pos_flat = codecs.varbyte_decode_concat(blobs_pos, tfsum_o)
+        pos_deltas = None
+        if positional[0]:
+            # every run's flat delta stream at once, per-posting segments
+            # permuted into sorted order via a gather index
+            pos_flat = codecs.decode_position_deltas(
+                [pos_enc[j] for j in run_order], tfs_pre
+            )
             pre_off = np.concatenate(([0], np.cumsum(tfs_pre)[:-1]))
             out_off = np.concatenate(([0], np.cumsum(tfs_all)[:-1]))
-            total_pos = int(tfs_pre.sum())
             gather = (
                 np.repeat(pre_off[o] - out_off, tfs_all)
-                + np.arange(total_pos, dtype=np.int64)
+                + np.arange(len(pos_flat), dtype=np.int64)
             )
-            pos_sorted = pos_flat[gather]
-            pos_b = codecs.varbyte_encode_segments(
-                pos_sorted, out_off[blk_starts]
-            )
-        else:
-            pos_b = [b""] * total_blocks
+            pos_deltas = pos_flat[gather]
 
+        # (duplicates were rejected above; the codec's own ascending check
+        # remains as a backstop for non-block-boundary corruption)
+        ids_b, tfs_b, pos_b = codecs.encode_postings(
+            ords, tfs_all, blk_starts, pos_deltas
+        )
         return pa.table(
             {
                 "term": pa.array(uniq_terms[term_of_block], pa.string()),
-                "df": pa.array(dfs[term_of_block], pa.int64()),
+                "df": pa.array(seg_lens[term_of_block], pa.int64()),
                 "block_id": pa.array(blk_within.astype(np.int32), pa.int32()),
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
                 "doc_ids": pa.array(ids_b, pa.large_binary()),
@@ -396,33 +373,6 @@ def make_merge_shard(
                 "positions": pa.array(pos_b, pa.large_binary()),
             },
             schema=BLOCK_SCHEMA,
-        )
-
-    def merge_shard(group: pa.Table, doc_ids: np.ndarray) -> pa.Table:
-        if group.num_rows == 0 or "term" not in group.column_names:
-            return pa.table(
-                {f.name: pa.array([], f.type) for f in BLOCK_SCHEMA},
-                schema=BLOCK_SCHEMA,
-            )
-        pos_enc = (
-            group["pos_enc"].to_pylist()
-            if "pos_enc" in group.column_names
-            else [b""] * group.num_rows
-        )
-        if not any(len(p) for p in pos_enc):
-            return merge_shard_vectorized(group, doc_ids)
-        if all(len(p) for p in pos_enc):
-            return merge_shard_vectorized(group, doc_ids, pos_enc=pos_enc)
-        # mixed positional/non-positional runs: a block whose position
-        # payload covers only SOME postings would be silently mis-split by
-        # the query side (positions are cut at cumsum(tf) boundaries), so
-        # this state is a build-config error, not a mergeable input —
-        # build_index pins store_positions in build_config.json to prevent
-        # it; reject clearly if reached through direct use
-        raise ValueError(
-            "merge group mixes positional and non-positional runs "
-            "(store_positions changed between builds of the same index?) — "
-            "rebuild with mode='fresh' or a consistent store_positions"
         )
 
     return merge_shard
