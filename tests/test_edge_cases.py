@@ -235,6 +235,38 @@ def test_duplicate_doc_id_clear_error(ray_session, tmp_path):
                     EngineConfig(mode="reference"), mode="fresh")
 
 
+def _one_identity_in_two_files(tmp_path):
+    """A corpus of two files, 3 docs each, where the third doc of the first
+    file and the first doc of the second share one (repo, path, commit)
+    identity; their contents share no term."""
+    from uci_searchengine_ray.sources.corpus import synthetic_corpus_table
+
+    tbl = synthetic_corpus_table(0, 6)
+    twin = tbl.slice(2, 1).set_column(
+        tbl.schema.get_field_index("content"), "content",
+        pa.array(["zzqx_twin_only"], tbl.schema.field("content").type))
+    d = tmp_path / "c"
+    d.mkdir()
+    pq.write_table(tbl.slice(0, 3), str(d / "part-0.parquet"))
+    pq.write_table(pa.concat_tables([twin, tbl.slice(3, 2)]),
+                   str(d / "part-1.parquet"))
+    return str(d)
+
+
+@pytest.mark.parametrize("batch_size", [3, 1])
+def test_duplicate_doc_id_across_batches_clear_error(ray_session, tmp_path,
+                                                     batch_size):
+    """One identity in two tokenize batches fails the build.  In 3-doc
+    batches the doc table holds the id twice; in 1-doc batches both
+    batches name their files after it, so one would replace the other and
+    lose a doc."""
+    corpus = _one_identity_in_two_files(tmp_path)
+    cfg = EngineConfig(mode="reference", ckpt_groups=1,
+                       tokenize_batch_size=batch_size)
+    with pytest.raises(ValueError, match="duplicate doc_id -?[0-9]+ in two corpus batches"):
+        build_index(corpus, str(tmp_path / "i"), cfg, mode="fresh")
+
+
 def test_catalog_register_same_second_collisions(tmp_path):
     from uci_searchengine_ray.sources.catalog import SnapshotCatalog
 
@@ -251,8 +283,9 @@ def test_catalog_register_same_second_collisions(tmp_path):
 
 
 def _merge_run(term: str, ids, positional: bool = False):
-    """One RUN_SCHEMA row dict for a term's (tf=1) posting run; with
-    ``positional``, each posting's one position is 0."""
+    """One merge-input row dict (``RUN_SCHEMA`` plus its ``batch``) for a
+    term's (tf=1) posting run of batch 0; with ``positional``, each
+    posting's one position is 0."""
     import numpy as np
 
     from uci_searchengine_ray.functions import codecs
@@ -266,11 +299,19 @@ def _merge_run(term: str, ids, positional: bool = False):
         "term": term,
         "merge_key": 0,
         "n": len(ids),
-        "tf_sum": len(ids),
         "ids_enc": ids_enc,
         "tfs_enc": tfs_enc,
         "pos_enc": pos_enc,
+        "batch": 0,
     }
+
+
+def _merge_schema():
+    import pyarrow as pa
+
+    from uci_searchengine_ray.stages.postings import RUN_SCHEMA
+
+    return RUN_SCHEMA.append(pa.field("batch", pa.int32()))
 
 
 def test_duplicate_doc_id_on_block_boundary_rejected():
@@ -280,38 +321,38 @@ def test_duplicate_doc_id_on_block_boundary_rejected():
     before the explicit within-term validation this exact layout (merged
     postings [0..127, 127, 129] with block_size=128: positions 127/128
     straddle the boundary) was silently accepted — emitting two blocks that
-    both hold doc 127, a doc the scorer would count twice.  The doc ids
-    are their own ordinals here (the snapshot's ids are 0..129)."""
+    both hold doc 127, a doc the scorer would count twice.  The runs are of
+    one batch of 130 docs whose ranks are their own ordinals."""
     import numpy as np
     import pyarrow as pa
     import pytest
 
     from uci_searchengine_ray.functions import codecs
-    from uci_searchengine_ray.stages.postings import RUN_SCHEMA, make_merge_shard
+    from uci_searchengine_ray.stages.postings import make_merge_shard
 
     merge = make_merge_shard(block_size=128)
-    doc_ids = np.arange(130)
+    ordinals = np.arange(130)
     rows = [
         _merge_run("t", list(range(128))),          # docs 0..127
         _merge_run("t", [127, 129]),                # 127 again → boundary dup
     ]
-    group = pa.Table.from_pylist(rows, schema=RUN_SCHEMA)
-    with pytest.raises(ValueError, match="duplicate doc_id 127"):
-        merge(group, doc_ids)
+    group = pa.Table.from_pylist(rows, schema=_merge_schema())
+    with pytest.raises(ValueError, match="duplicate doc ordinal 127"):
+        merge(group, ordinals, [0, 130])
     # same inputs without the duplicate merge cleanly into 2 blocks
     rows_ok = [
         _merge_run("t", list(range(128))),
         _merge_run("t", [128, 129]),
     ]
-    group_ok = pa.Table.from_pylist(rows_ok, schema=RUN_SCHEMA)
-    out = merge(group_ok, doc_ids)
+    group_ok = pa.Table.from_pylist(rows_ok, schema=_merge_schema())
+    out = merge(group_ok, ordinals, [0, 130])
     assert out.num_rows == 2
     assert [codecs.decode_ids(b).tolist() for b in out["doc_ids"].to_pylist()] == [
         list(range(128)), [128, 129]
     ]
-    # a run doc that the snapshot's doc list lacks cannot get an ordinal
-    with pytest.raises(ValueError, match="doc id 129, which doc_meta lacks"):
-        merge(group_ok, doc_ids[:-1])
+    # a run rank past its batch's doc count has no ordinal
+    with pytest.raises(ValueError, match="doc rank 129 of a batch of 129 docs"):
+        merge(group_ok, ordinals[:-1], [0, 129])
 
 
 def test_merge_rejects_mixed_positional_runs_and_passes_empty_groups():
@@ -324,22 +365,23 @@ def test_merge_rejects_mixed_positional_runs_and_passes_empty_groups():
 
     from uci_searchengine_ray.functions import codecs
     from uci_searchengine_ray.stages.postings import (
-        BLOCK_SCHEMA, RUN_SCHEMA, make_merge_shard)
+        BLOCK_SCHEMA, make_merge_shard)
 
     merge = make_merge_shard(block_size=4)
-    doc_ids = np.arange(10)
+    ordinals, offsets = np.arange(10), [0, 10]
     mixed = pa.Table.from_pylist(
         [_merge_run("t", [1, 3], positional=True), _merge_run("t", [5])],
-        schema=RUN_SCHEMA,
+        schema=_merge_schema(),
     )
     with pytest.raises(ValueError, match="mixes positional and non-positional"):
-        merge(mixed, doc_ids)
+        merge(mixed, ordinals, offsets)
     both = pa.Table.from_pylist(
         [_merge_run("t", [1, 3], positional=True),
          _merge_run("t", [5], positional=True)],
-        schema=RUN_SCHEMA,
+        schema=_merge_schema(),
     )
-    (positions,) = merge(both, doc_ids)["positions"].to_pylist()
+    (positions,) = merge(both, ordinals, offsets)["positions"].to_pylist()
     assert [p.tolist() for p in codecs.decode_positions([positions], [1, 1, 1])] == [
         [0], [0], [0]]
-    assert merge(RUN_SCHEMA.empty_table(), doc_ids).equals(BLOCK_SCHEMA.empty_table())
+    assert merge(_merge_schema().empty_table(), ordinals, offsets).equals(
+        BLOCK_SCHEMA.empty_table())

@@ -6,6 +6,7 @@ import glob
 import os
 import shutil
 
+import pyarrow.dataset as pa_ds
 import pyarrow.parquet as pq
 import pytest
 
@@ -176,10 +177,9 @@ def test_grown_corpus_keeps_pinned_counts(ray_session, tmp_path, monkeypatch):
     }
     assert set(rows_after) == set(rows_before)
     assert any(rows_after[p] == rows_before[p] for p in rows_before)
-    keys = {
-        int(os.path.basename(d).split("=")[1])
-        for d in glob.glob(os.path.join(inc, "runs", "*", "merge_key=*"))
-    }
+    keys = set(pa_ds.dataset(
+        glob.glob(os.path.join(inc, "runs", "*", "*.parquet"))
+    ).to_table(columns=["merge_key"])["merge_key"].to_pylist())
     assert keys and max(keys) < 64
 
     fresh = str(tmp_path / "fresh")

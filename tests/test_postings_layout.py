@@ -1,6 +1,8 @@
 """The postings layout: block rows carry their term's merge key, a term's
 payload scan prunes to that key's row groups, and snapshots written with
-the older ``shard=K/`` partition rebuild to the current layout."""
+the older ``shard=K/`` partition rebuild to the current layout.  The runs
+layout: one runs file per tokenize batch beside its doc_meta file, sorted
+by merge key with one row group per phase-2 key range."""
 
 import glob
 import os
@@ -49,6 +51,43 @@ def test_term_scan_prunes_to_its_key(built_index):
     got = idx._dataset.to_table(filter=flt)
     assert got.num_rows == idx.n_blocks(term) > 0
     assert set(got["term"].to_pylist()) == {term}
+
+
+def test_runs_layout(built_index):
+    """One runs file per doc_meta file, with the same stem and no
+    ``merge_key=`` dir; rows ascend by merge key and each row group holds
+    one phase-2 key range, with statistics on ``merge_key`` only; the
+    manifest counts the files and their bytes."""
+    from uci_searchengine_ray.stages.postings import key_ranges
+    from uci_searchengine_ray.state import manifest
+
+    def stems(sub, prefix):
+        files = glob.glob(os.path.join(built_index, sub, "*", "*.parquet"))
+        return sorted(os.path.relpath(f, os.path.join(built_index, sub))
+                      .replace(prefix, "", 1) for f in files), files
+
+    run_stems, run_files = stems("runs", "runs-")
+    assert run_stems == stems("doc_meta", "meta-")[0] != []
+    assert not glob.glob(os.path.join(built_index, "runs", "**", "merge_key=*"),
+                         recursive=True)
+    # the ray_session fixture starts Ray with 4 CPUs: one merge task and
+    # one key range per CPU
+    ranges = key_ranges(load_stats(built_index)["num_merge_groups"], 4)
+    for path in run_files:
+        keys = pq.read_table(path, columns=["merge_key"])["merge_key"].to_pylist()
+        assert keys == sorted(keys)
+        meta = pq.read_metadata(path)
+        for i in range(meta.num_row_groups):
+            rg = meta.row_group(i)
+            cols = {rg.column(j).path_in_schema: rg.column(j)
+                    for j in range(rg.num_columns)}
+            assert {c for c, m in cols.items() if m.is_stats_set} == {"merge_key"}
+            stats = cols["merge_key"].statistics
+            assert any(lo <= stats.min and stats.max < hi for lo, hi in ranges)
+    rows = manifest.stage_metrics(built_index, "runs")
+    assert sum(r["run_files"] for r in rows) == len(run_files)
+    assert sum(r["run_bytes"] for r in rows) == sum(
+        os.path.getsize(f) for f in run_files)
 
 
 @pytest.fixture(scope="module")

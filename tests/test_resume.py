@@ -136,34 +136,36 @@ def test_rebuild_mode_redoes_merge_only(ray_session, corpus, tmp_path_factory):
     assert {f: os.path.getmtime(f) for f in runs_files} == mtimes
 
 
-def test_rebuild_merges_runs_in_older_nested_layout(
-    ray_session, corpus, tmp_path_factory
-):
-    """Snapshots from older builds keep each run file one directory deeper
-    (runs/group=G/merge_key=M/range_bucket=0/).  A rebuild over that layout
-    merges the same runs into value-identical postings."""
-    import shutil
+@pytest.mark.parametrize("mode", ["continue", "rebuild"])
+def test_older_run_format_is_retokenized(ray_session, corpus, tmp_path_factory, mode):
+    """Snapshots from builds before the pinned ``run_format`` hold runs of
+    hashed doc ids in ``runs/group=G/merge_key=M/`` dirs.  ``continue``
+    and ``rebuild`` re-derive those groups from the corpus: the snapshot
+    ends equal to a fresh build, with one runs file per doc_meta file and
+    no key dir."""
+    from older_runs import to_hashed_id_runs
 
-    snap = str(tmp_path_factory.mktemp("nested") / "s")
-    build_index(corpus, snap, CFG, mode="fresh")
-    d1 = _dir_digest(snap)
-    runs_files = glob.glob(
-        os.path.join(snap, "runs", "*", "merge_key=*", "*.parquet")
-    )
-    assert runs_files
-    for f in runs_files:
-        sub = os.path.join(os.path.dirname(f), "range_bucket=0")
-        os.makedirs(sub, exist_ok=True)
-        shutil.move(f, os.path.join(sub, os.path.basename(f)))
-    # ...and pinned two more keys in build_config.json
-    bc = os.path.join(snap, "build_config.json")
-    with open(bc) as fh:
-        pinned = json.load(fh)
-    pinned.update(doc_id_bits=63, doc_range_buckets=1)
-    with open(bc, "w") as fh:
-        json.dump(pinned, fh)
-    build_index(corpus, snap, CFG, mode="rebuild")
-    assert _dir_digest(snap) == d1
+    base = tmp_path_factory.mktemp("older_runs")
+    fresh, snap = str(base / "fresh"), str(base / "snap")
+    build_index(corpus, fresh, CFG, mode="fresh")
+    shutil.copytree(fresh, snap)
+    to_hashed_id_runs(snap)
+    assert glob.glob(os.path.join(snap, "runs", "*", "merge_key=*"))
+
+    build_index(corpus, snap, CFG, mode=mode)
+    _assert_same_index(snap, fresh)
+    assert not glob.glob(os.path.join(snap, "runs", "*", "merge_key=*"))
+
+    def stems(sub, prefix):
+        return sorted(os.path.relpath(f, os.path.join(snap, sub))
+                      .replace(prefix, "") for f in glob.glob(
+                          os.path.join(snap, sub, "*", prefix + "*.parquet")))
+
+    assert stems("runs", "runs-") == stems("doc_meta", "meta-") != []
+    with open(os.path.join(snap, "build_config.json")) as fh:
+        assert json.load(fh)["run_format"] == 2
+    assert manifest.stage_metrics(snap, "runs") == manifest.stage_metrics(
+        fresh, "runs")
 
 
 def test_continue_ignores_crashed_group_dirs(ray_session, corpus, tmp_path_factory):

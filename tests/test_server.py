@@ -1,8 +1,10 @@
 """REST façade tests (SURVEY §2.10; reference routes.py surface parity):
 in-process HTTP against a localhost ephemeral port."""
 
+import glob
 import http.client
 import json
+import os
 
 import pytest
 
@@ -129,6 +131,9 @@ def test_statistics_and_failed_urls(served):
     assert st == 200
     assert out["documents_crawled"] == out["n_docs"] > 0
     assert out["total_words"] > 0 and out["partitions"] >= 1
+    runs = glob.glob(os.path.join(srv._index_dir, "runs", "*", "*.parquet"))
+    assert out["run_files"] == len(runs) >= 1
+    assert out["run_bytes"] == sum(os.path.getsize(f) for f in runs)
     st, out = _req(port, "GET", "/api/crawler/failed-urls")
     assert st == 200 and isinstance(out["failed_urls"], list)
 

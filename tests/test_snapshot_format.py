@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.dataset as pa_ds
 import pyarrow.parquet as pq
 import pytest
+from older_runs import to_hashed_id_runs
 from test_search import GOLDEN_QUERIES
 
 from uci_searchengine_ray.config import EngineConfig
@@ -35,8 +36,9 @@ def _drop_format_field(snap):
 
 def _to_parent_encoding(snap):
     """Rewrite ``snap`` as the previous format wrote it: block ``doc_ids``
-    hold hashed doc ids, blocks and runs carry per-posting doc lengths
-    (``doc_lens`` / ``dls_enc``), and stats.json has no format field."""
+    and runs hold hashed doc ids, blocks and runs carry per-posting doc
+    lengths (``doc_lens`` / ``dls_enc``), runs sit in ``merge_key=M/``
+    dirs, and neither stats.json nor build_config.json names a format."""
     docs = DocStore(snap, pages=False)
     ids, lens = docs.ids, docs.lens
     len_of = dict(zip(ids.tolist(), lens.tolist()))
@@ -50,6 +52,7 @@ def _to_parent_encoding(snap):
         tbl = tbl.add_column(tbl.schema.get_field_index("positions"), "doc_lens",
                              pa.array(dls, pa.large_binary()))
         pq.write_table(tbl, path)
+    to_hashed_id_runs(snap)
     runs = pa_ds.dataset(os.path.join(snap, "runs"), format="parquet")
     for path in runs.files:
         tbl = pq.read_table(path)

@@ -17,16 +17,18 @@ class EngineConfig:
     # posting-block size (postings per block)
     block_size: int = 128
 
-    # tokenize-stage batch size (docs per batch).  Bigger batches mean fewer
-    # phase-1 runs per term (runs ≈ n_batches × batch vocab), which is the
-    # main phase-2 shuffle-size lever — but batch bytes × concurrency must
-    # fit the worker heap: at ~2.5 KB/doc 8192 is ~20 MB/batch; drop to
-    # 64-256 for 100 KB+ source files or huge binary payloads.
+    # tokenize-stage batch size (docs per batch).  Each batch writes one
+    # doc_meta file and one runs file (the phase-1→2 exchange), and bigger
+    # batches mean fewer runs per term (runs ≈ n_batches × batch vocab) and
+    # fewer files for every merge task to scan — but batch bytes ×
+    # concurrency must fit the worker heap: at ~2.5 KB/doc 8192 is ~20
+    # MB/batch; drop to 64-256 for 100 KB+ source files or huge binary
+    # payloads.
     # None (default) = scale-aware: build_index derives the batch from the
-    # corpus row count (parquet footers) targeting ~4 tasks per CPU,
-    # clamped to [1024, 8192] — small corpora keep full parallelism, big
-    # corpora get the fewest runs/files the heap allows (measured 30%
-    # faster phase 2 at 1M docs vs a fixed 2048)
+    # corpus row count (parquet footers) targeting one task wave per
+    # group, clamped to [1024, 8192] — small corpora keep full
+    # parallelism, big corpora get the fewest runs files the heap allows
+    # (measured 30% faster phase 2 at 1M docs vs a fixed 2048)
     tokenize_batch_size: Optional[int] = None
 
     # checkpoint groups: input files are processed in this many lineage groups;

@@ -9,8 +9,8 @@ compression and no ordering guarantee (SURVEY.md §2.6 K5).  The rebuild keeps
 posting lists doc-ascending and delta+varbyte-encodes them.  A posting block
 stores doc *ordinals* (dense ranks 0..N-1 of the snapshot's doc ids), so a gap
 is about N/df and mostly takes one or two bytes, plus varbyte tfs and
-optional delta-encoded positions.  Phase-1 runs still encode hashed 63-bit
-doc ids, whose gaps near 2^63/df take about 9 bytes each.
+optional delta-encoded positions.  A phase-1 run encodes its docs' ranks
+within its tokenize batch the same way.
 
 Payload of one segment (a run or a block) of n postings:
   ids        varbyte of [first id, gap1, gap2, ...] (gaps >= 1);

@@ -444,6 +444,9 @@ class SearchServer:
             return 200, {
                 **stats,
                 "partitions": len(rows),
+                # runs files and their bytes; older manifest rows lack them
+                "run_files": sum(r.get("run_files", 0) for r in rows),
+                "run_bytes": sum(r.get("run_bytes", 0) for r in rows),
                 "documents_crawled": stats.get("n_docs", 0),
                 "total_words": stats.get("total_tokens", 0),
             }

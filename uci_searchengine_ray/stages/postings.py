@@ -6,22 +6,27 @@ delta+varbyte-compressed posting blocks in two stages:
 
   phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
       corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
-      (term, doc) pair is unique afterwards), then sort (term, doc_id) within
-      the batch and emit one compressed *run* row per term per batch (hashed
-      doc ids and tfs; a doc's token length goes to its doc-meta row only).
-      Fusing tokenize→explode→encode in one stage means raw postings never
-      cross the object store — only compressed runs (~13 B/posting) do — and the
-      hive-partitioned run write (by merge_key = hash(term) % merge keys)
-      IS the phase-1→2 exchange: a disk-backed shuffle with no sort.
+      (term, doc) pair is unique afterwards), then sort (term, doc) within
+      the batch and emit one compressed *run* row per term per batch.  A
+      run names each doc by its *rank* among the batch's ascending doc ids,
+      so its gaps are small (a doc's token length goes to its doc-meta row
+      only).  Fusing tokenize→explode→encode in one stage means raw
+      postings never cross the object store.  The phase-1→2 exchange is
+      one runs file per batch, ``runs-{first id}-{n}.parquet`` beside the
+      batch's ``meta-{first id}-{n}.parquet``: rows sorted by (merge_key =
+      hash(term) % merge keys, term), one row group per phase-2 task's key
+      range (``key_ranges``) with statistics on ``merge_key`` only — a
+      disk-backed shuffle with no sort.  The task returns one summary row
+      (``SUMMARY_SCHEMA``) for the build's counts.
 
-  phase 2 — each merge task takes a slice of the merge keys and, per key,
-      reads exactly its co-located run files and makes one ``merge_shard``
-      call: per term, the runs (disjoint doc sets) are decoded, their
-      hashed doc ids mapped to doc *ordinals* (rank in the snapshot's
-      ascending doc_meta ids, as ``state.docstore`` defines them, so gaps
-      are small), merge-sorted and re-encoded into fixed-size blocks with
-      df; many terms merge in one vectorized call (no per-term Ray
-      scheduling).
+  phase 2 — each merge task takes one key range, reads it from every runs
+      file in one filtered scan (the statistics prune the other row
+      groups) and makes one ``merge_shard`` call per key: per term, the
+      runs (disjoint doc sets) are decoded, their batch ranks mapped to
+      doc *ordinals* (rank in the snapshot's ascending doc_meta ids, as
+      ``state.docstore.batch_ordinals`` defines them), merge-sorted and
+      re-encoded into fixed-size blocks with df; many terms merge in one
+      vectorized call (no per-term Ray scheduling).
       ``build_index`` derives the key count from the corpus size (at least
       64, ~7.8k docs per key past 500k docs), so one key's postings stay
       worker-sized; stopword filtering in code mode removes the worst Zipf
@@ -40,7 +45,7 @@ term's read to its key's row groups.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, List
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -48,19 +53,30 @@ import pyarrow as pa
 from ..functions import codecs
 from ..functions.hashing import term_shard
 from ..functions.tokenizer import TOKENIZERS
-from ..state.docstore import find_ordinals
+from ..state import storage
 
 RUN_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("merge_key", pa.int32()),
         ("n", pa.int32()),
-        ("tf_sum", pa.int64()),
+        # doc ranks within the run's batch, and tfs (codecs.encode_postings)
         ("ids_enc", pa.large_binary()),
         ("tfs_enc", pa.large_binary()),
         # optional positional payload (codecs.encode_postings); empty
         # bytes when positions are disabled
         ("pos_enc", pa.large_binary()),
+    ]
+)
+
+# one row per tokenize batch: its file stem ("{first id}-{n}"), doc and
+# token counts and the bytes of its runs file
+SUMMARY_SCHEMA = pa.schema(
+    [
+        ("stem", pa.string()),
+        ("docs", pa.int64()),
+        ("tokens", pa.int64()),
+        ("run_bytes", pa.int64()),
     ]
 )
 
@@ -77,32 +93,48 @@ BLOCK_SCHEMA = pa.schema(
 )
 
 
+def key_ranges(n_keys: int, n_tasks: int) -> List[Tuple[int, int]]:
+    """The contiguous ``[lo, hi)`` merge-key ranges of the phase-2 merge
+    tasks, as even as ``np.array_split`` cuts them; phase 1 cuts each runs
+    file's row groups at the same keys."""
+    return [(int(part[0]), int(part[-1]) + 1)
+            for part in np.array_split(np.arange(n_keys), n_tasks) if len(part)]
+
+
 class TokenizeEncodeRuns:
     """Fused tokenize → per-doc TF → per-(term, batch) compressed run stage.
 
     A picklable callable run as stateless Ray Data tasks; the tokenizer's
     compiled regexes are module-level.  Per batch, all per-posting work is
     numpy; the only per-item Python is the regex findall per document and
-    one slice per distinct term in the batch.
+    one slice per distinct term in the batch.  Each call writes the batch's
+    doc-meta and runs files into ``meta_dir`` and ``runs_dir`` on ``fs``
+    (a picklable ``pyarrow.fs`` handle) and returns its summary row.
     """
 
     def __init__(
         self,
-        mode: str = "reference",
-        num_merge_keys: int = 64,
-        meta_dir: str | None = None,
-        meta_fs=None,
+        mode: str,
+        num_merge_keys: int,
+        fs,
+        meta_dir: str,
+        runs_dir: str,
+        key_starts: Sequence[int],
         store_positions: bool = False,
         store_content: bool = True,
     ):
         self._tokenize = TOKENIZERS[mode]
         self._num_merge_keys = num_merge_keys
+        self._fs = fs
         self._meta_dir = meta_dir
-        self._meta_fs = meta_fs  # pyarrow.fs handle (picklable), None = local
+        self._runs_dir = runs_dir
+        # first key of each phase-2 key range: a runs file's row groups
+        # start at these keys
+        self._key_starts = np.asarray(key_starts, dtype=np.int64)
         self._store_positions = store_positions
         self._store_content = store_content
 
-    def _write_meta_sidecar(self, batch: pa.Table, doc_ids, doc_lens) -> None:
+    def _write_meta(self, batch: pa.Table, doc_lens, stem: str) -> None:
         """Fused doc-meta output: one parquet file per batch, written from
         inside the tokenize task so the corpus is read ONCE for both outputs.
         The file name is a deterministic function of the batch content
@@ -110,25 +142,16 @@ class TokenizeEncodeRuns:
         file instead of duplicating rows.  Writes go through the pyarrow.fs
         abstraction (state/storage.py) so the snapshot may live on an object
         store."""
-        from ..state import storage
         from .tokenize import doc_meta_batch
 
         meta = doc_meta_batch(batch, doc_lens=doc_lens)
         if not self._store_content:
             meta = meta.drop_columns(["content"])
-        fs, meta_dir = self._meta_fs, self._meta_dir
-        if fs is None:
-            # meta_dir may be a URI: use the RESOLVED in-filesystem path,
-            # not the raw string (an s3:// prefix is not a valid key)
-            fs, meta_dir = storage.resolve(meta_dir)
         # zstd: the content column dominates the bytes; phase 1 at high
         # parallelism is disk-write-bound, so stronger compression is net CPU
         # well spent
         storage.write_table_idempotent(
-            fs,
-            meta,
-            meta_dir,
-            f"meta-{doc_ids[0]}-{len(doc_ids)}.parquet",
+            self._fs, meta, self._meta_dir, f"meta-{stem}.parquet",
             compression="zstd",
         )
 
@@ -136,6 +159,8 @@ class TokenizeEncodeRuns:
         from .tokenize import _batch_doc_ids
 
         doc_ids = _batch_doc_ids(batch)
+        if not doc_ids:
+            return SUMMARY_SCHEMA.empty_table()
         # fail EARLY and clearly on duplicate identity — otherwise the
         # zero delta surfaces hours later as a cryptic codec error deep in
         # the merge ("delta_encode requires strictly ascending segments")
@@ -191,19 +216,35 @@ class TokenizeEncodeRuns:
             used_doc.append(doc_id)
             used_n.append(n_terms)
 
-        if self._meta_dir is not None and len(doc_ids):
-            self._write_meta_sidecar(batch, doc_ids, doc_lens_out)
+        stem = f"{doc_ids[0]}-{len(doc_ids)}"
+        self._write_meta(batch, doc_lens_out, stem)
+        runs = self._encode_runs(
+            uniq, terms, post_tf, post_pos, used_doc, used_n)
+        mk = runs["merge_key"].to_numpy()
+        run_bytes = storage.write_table_idempotent(
+            self._fs, runs, self._runs_dir, f"runs-{stem}.parquet",
+            row_group_starts=np.searchsorted(mk, self._key_starts[1:]).tolist(),
+            write_statistics=["merge_key"],
+        )
+        return pa.table(
+            {"stem": [stem], "docs": [len(doc_ids)],
+             "tokens": [sum(doc_lens_out)], "run_bytes": [run_bytes]},
+            schema=SUMMARY_SCHEMA,
+        )
 
+    def _encode_runs(self, sorted_ids, terms, post_tf, post_pos, used_doc,
+                     used_n) -> pa.Table:
+        """The batch's runs (``RUN_SCHEMA``) sorted by (merge_key, term):
+        one row per distinct term, its docs as ranks in ``sorted_ids``."""
         if not terms:
             return RUN_SCHEMA.empty_table()
-
         term_arr = np.asarray(terms, dtype=object)
         reps = np.asarray(used_n, dtype=np.int64)
-        doc_arr = np.repeat(np.asarray(used_doc, dtype=np.int64), reps)
+        rank_arr = np.repeat(np.searchsorted(sorted_ids, used_doc), reps)
         tf_arr = np.asarray(post_tf, dtype=np.int64)
-        order = np.lexsort((doc_arr, term_arr))
-        term_arr, doc_arr, tf_arr = term_arr[order], doc_arr[order], tf_arr[order]
-        if want_pos:
+        order = np.lexsort((rank_arr, term_arr))
+        term_arr, rank_arr, tf_arr = term_arr[order], rank_arr[order], tf_arr[order]
+        if self._store_positions:
             post_pos = [post_pos[j] for j in order]
         # run boundaries: starts of each distinct term
         brk = np.flatnonzero(term_arr[1:] != term_arr[:-1]) + 1
@@ -212,47 +253,49 @@ class TokenizeEncodeRuns:
         # a posting's tf is its count of positions
         pos_deltas = (
             codecs.position_deltas(np.concatenate(post_pos), tf_arr)
-            if want_pos else None
+            if self._store_positions else None
         )
         # ONE vectorized encode pass per payload column, split at run
         # boundaries — byte-identical to per-run encoding but without ~3
         # numpy codec calls per tiny run (65% of stage time, profiled)
         ids_enc, tfs_enc, pos_enc = codecs.encode_postings(
-            doc_arr, tf_arr, seg_starts, pos_deltas
+            rank_arr, tf_arr, seg_starts, pos_deltas
         )
         run_terms = term_arr[seg_starts]
-        tf_sums = np.add.reduceat(tf_arr, seg_starts)
-        merge_keys = [
-            term_shard(t, self._num_merge_keys) for t in run_terms
-        ]
-
-        return pa.table(
+        merge_keys = np.fromiter(
+            (term_shard(t, self._num_merge_keys) for t in run_terms),
+            dtype=np.int32, count=len(run_terms))
+        runs = pa.table(
             {
                 "term": pa.array(run_terms, pa.string()),
                 "merge_key": pa.array(merge_keys, pa.int32()),
                 "n": pa.array(np.diff(starts).astype(np.int32), pa.int32()),
-                "tf_sum": pa.array(tf_sums.astype(np.int64), pa.int64()),
                 "ids_enc": pa.array(ids_enc, pa.large_binary()),
                 "tfs_enc": pa.array(tfs_enc, pa.large_binary()),
                 "pos_enc": pa.array(pos_enc, pa.large_binary()),
             },
             schema=RUN_SCHEMA,
         )
+        # runs are term-sorted, so a stable sort by key gives (key, term)
+        return runs.take(np.argsort(merge_keys, kind="stable"))
 
 
 def make_merge_shard(
     block_size: int,
-) -> Callable[[pa.Table, np.ndarray], pa.Table]:
-    """Phase-2 merge body factory: one merge key's runs (many terms) and
-    the snapshot's ascending doc ids → final block rows (``BLOCK_SCHEMA``),
-    whose ``doc_ids`` hold each doc's ordinal (its position in those ids)."""
+) -> Callable[[pa.Table, np.ndarray, np.ndarray], pa.Table]:
+    """Phase-2 merge body factory: one merge key's runs (many terms), each
+    tagged with the index of its ``batch``, and the batches' doc ordinals
+    (``state.docstore.batch_ordinals``: batch b's rank k is ordinal
+    ``ordinals[offsets[b] + k]``) → final block rows (``BLOCK_SCHEMA``)
+    whose ``doc_ids`` hold ordinals."""
 
-    def merge_shard(group: pa.Table, doc_ids: np.ndarray) -> pa.Table:
-        """Decode every run in one codec pass, map its hashed doc ids to
-        ordinals (one ``find_ordinals``), ONE global lexsort over (term,
-        ordinal) for all postings, block aggregates at block starts and one
-        segmented re-encode at block boundaries — many terms per call, no
-        per-term or per-block codec call.
+    def merge_shard(group: pa.Table, ordinals: np.ndarray,
+                    offsets: np.ndarray) -> pa.Table:
+        """Decode every run in one codec pass, map its batch ranks to
+        ordinals (one gather), ONE global lexsort over (term, ordinal) for
+        all postings, block aggregates at block starts and one segmented
+        re-encode at block boundaries — many terms per call, no per-term or
+        per-block codec call.
 
         Positional runs never need absolute positions: each posting's
         payload is already a self-contained delta stream, so the merge is a
@@ -282,16 +325,22 @@ def make_merge_shard(
         ns_o = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)[run_order]
         ids_enc = group["ids_enc"].to_pylist()
         tfs_enc = group["tfs_enc"].to_pylist()
-        hashed, tfs_pre = codecs.decode_postings(
+        ranks, tfs_pre = codecs.decode_postings(
             [ids_enc[j] for j in run_order], [tfs_enc[j] for j in run_order], ns_o
         )
-        ords, known = find_ordinals(doc_ids, hashed)
-        if not known.all():
+        offsets = np.asarray(offsets, dtype=np.int64)
+        batch = np.repeat(
+            group["batch"].to_numpy(zero_copy_only=False)[run_order], ns_o)
+        sizes = np.diff(offsets)[batch]
+        past = np.flatnonzero(ranks >= sizes)
+        if len(past):
+            i = int(past[0])
             raise ValueError(
-                f"runs hold postings of doc id {int(hashed[~known][0])}, "
-                "which doc_meta lacks: the snapshot's runs and doc_meta "
+                f"runs hold doc rank {int(ranks[i])} of a batch of "
+                f"{int(sizes[i])} docs: the snapshot's runs and doc_meta "
                 "disagree"
             )
+        ords = np.asarray(ordinals)[offsets[batch] + ranks]
 
         # distinct terms (runs are term-sorted): per-term posting segments
         t_brk = np.flatnonzero(terms_o[1:] != terms_o[:-1]) + 1
@@ -323,9 +372,9 @@ def make_merge_shard(
         if len(dup):
             i = int(dup[0])
             raise ValueError(
-                f"duplicate doc_id {int(doc_ids[ords[i + 1]])} in postings of "
-                f"term {uniq_terms[int(ptr_sorted[i])]!r}: the same (repo, "
-                "path, commit) identity appears in more than one corpus file"
+                f"duplicate doc ordinal {int(ords[i + 1])} in postings of "
+                f"term {uniq_terms[int(ptr_sorted[i])]!r}: two runs of the "
+                "term name the same doc"
             )
 
         # blocks per term; df per term is its segment length, since a

@@ -1,9 +1,10 @@
 """The doc table: the one owner of a snapshot's doc ordinals and page rows.
 
 A doc's *ordinal* is its rank among the snapshot's ascending ``doc_meta``
-ids, and ``read_doc_meta`` is the one reader that defines it: the phase-2
-merge maps run ids to ordinals through it, posting blocks store them, and
-``DocStore`` holds the ids and token lengths by ordinal that scorers read.
+ids, and this module alone defines it: the phase-2 merge maps each tokenize
+batch's doc ranks to ordinals through ``batch_ordinals``, posting blocks
+store them, and ``DocStore`` (through ``read_doc_meta``) holds the ids and
+token lengths by ordinal that scorers read.
 
 The reference reads ``Document`` rows back from SQLite for snippets and titles
 (search.py:92-111).  Here ``DocStore`` reads the page-serving columns of
@@ -20,7 +21,7 @@ each query would decompress all of ``doc_meta``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -59,6 +60,36 @@ def find_ordinals(sorted_ids: np.ndarray, doc_ids: np.ndarray) -> Tuple[np.ndarr
     found = ords < len(sorted_ids)
     found[found] = sorted_ids[ords[found]] == doc_ids[found]
     return ords, found
+
+
+def batch_ordinals(index_dir: str) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """(files, offsets, ordinals): the snapshot's ``doc_meta`` files (one
+    per tokenize batch) and, concatenated in that order, the ordinals of
+    each file's ascending doc ids, so file i's rank k is ordinal
+    ``ordinals[offsets[i] + k]``.  Raises ValueError naming a doc id that
+    two files share: both would hold one ordinal."""
+    fs, root = storage.resolve(index_dir)
+    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
+    chunks: Dict[str, list] = {f: [] for f in files}
+    if files:
+        scan = pa_ds.dataset(files, format="parquet", filesystem=fs).scanner(
+            columns=["doc_id"])
+        for tagged in scan.scan_batches():
+            chunks[tagged.fragment.path].append(
+                tagged.record_batch.column(0).to_numpy())
+    per_file = [np.sort(np.concatenate(c)) if c else np.empty(0, np.int64)
+                for c in chunks.values()]
+    flat = np.concatenate(per_file) if per_file else np.empty(0, np.int64)
+    ids = np.sort(flat)
+    dup = np.flatnonzero(ids[1:] == ids[:-1])
+    if len(dup):
+        raise ValueError(
+            f"duplicate doc_id {int(ids[dup[0]])} in two corpus batches — "
+            "document identity is stable_doc_id(repo, path, commit); the "
+            "same natural key appears more than once in the input"
+        )
+    offsets = np.concatenate(([0], np.cumsum([len(a) for a in per_file])))
+    return files, offsets.astype(np.int64), find_ordinals(ids, flat)[0]
 
 
 def quarantine_listing(index_dir: str, limit: int = 1000):

@@ -189,17 +189,23 @@ def parquet_rows(path: str, fs: pafs.FileSystem | None = None) -> int:
 
 
 def write_table_idempotent(fs: pafs.FileSystem, table, dir_path: str,
-                           name: str, **pq_kwargs) -> None:
-    """Write one parquet file with a deterministic name.  Local: tmp+rename
-    (atomic).  Object store: direct put (single-object writes are atomic at
-    the object level; deterministic names make retries idempotent).  Tables
-    whose variable-width columns exceed ~1 GiB are written as multiple
-    byte-bounded row groups (see ``_row_group_slices``)."""
+                           name: str, row_group_starts=(), **pq_kwargs) -> int:
+    """Write one parquet file with a deterministic name and return its
+    size in bytes.  Local: tmp+rename (atomic).  Object store: direct put
+    (single-object writes are atomic at the object level; deterministic
+    names make retries idempotent).  A row group starts at each of
+    ``row_group_starts`` (ascending row offsets; empty groups are
+    skipped), and tables whose variable-width columns exceed ~1 GiB are
+    written as multiple byte-bounded row groups (see
+    ``_row_group_slices``)."""
     import pyarrow.parquet as pq
 
     def _write(path: str) -> None:
-        slices = _row_group_slices(table)
-        if len(slices) == 1:
+        cuts = [0, *row_group_starts, table.num_rows]
+        slices = [(lo + off, length)
+                  for lo, hi in zip(cuts, cuts[1:]) if hi > lo
+                  for off, length in _row_group_slices(table.slice(lo, hi - lo))]
+        if len(slices) <= 1:
             pq.write_table(table, path, filesystem=fs, **pq_kwargs)
             return
         with pq.ParquetWriter(
@@ -221,6 +227,7 @@ def write_table_idempotent(fs: pafs.FileSystem, table, dir_path: str,
         os.replace(tmp, final)
     else:
         _write(final)
+    return fs.get_file_info(final).size
 
 
 class StagedDir:
