@@ -245,18 +245,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["dedup_minhash_lsh"] = dedup_sim.minhash_lsh_pairs      # value-gated (band CTE oracle)
     q["dedup_simhash"] = dedup_sim.simhash_pairs              # value-gated (bit-fold oracle)
     q["dedup_embedding"] = dedup_sim.embedding_dup_pairs
-    q["dedup_embedding_ivf"] = dedup_sim.embedding_dup_pairs_ivf  # value-gated (rounded-bucket IVF unrolls into SQL; recall vs exact pinned by tests)
+    # value-gated (rounded-bucket IVF unrolls into SQL; recall vs exact
+    # pinned by tests); reads the same persisted IVF snapshot as ann_ivf
+    q["dedup_embedding_ivf"] = dedup_sim.embedding_dup_pairs_ivf
     q["dedup_components"] = dedup_sim.dedup_components
     q["near_dedup_keep"] = dedup_sim.near_dedup_keep
 
     # --- similarity search ---
     q["ann_bruteforce"] = dedup_sim.ann_bruteforce
-    # value-gated (VERDICT r4 #2): runs the PERSISTED-index path — the
-    # rounded-bucket discipline (similarity._bucket_ranks) makes the whole
-    # index SQL-expressible, and results are identical to the on-the-fly
-    # ann_ivf given the same centroids (pinned by tests/test_ivf_index.py),
-    # so one gate covers both variants
-    q["ann_ivf"] = dedup_sim.ann_ivf_indexed
+    # value-gated (VERDICT r4 #2): the persisted IVF index is the only IVF
+    # path, and the rounded-bucket discipline (similarity._bucket_ranks)
+    # makes the whole index SQL-expressible
+    q["ann_ivf"] = dedup_sim.ann_ivf
 
     # --- multimodal plumbing (deterministic fake decode, real Ray plumbing) ---
     q["multimodal_image"] = dedup_sim.multimodal_image
@@ -351,10 +351,10 @@ def _qt_values(mode: str) -> str:
 
 
 def _cos_sql(a: str, b: str) -> str:
-    """Zero-norm-guarded cosine: the engine (stages/clustering._cosine)
-    treats a zero-norm vector as norm 1 → cosine 0.0 exactly, while
-    DuckDB's list_cosine_similarity yields NaN there; the CASE mirrors
-    the engine so a zero embedding cannot break gate parity."""
+    """Zero-norm-guarded cosine: the engine (similarity._normalize,
+    clustering._cosine) treats a zero-norm vector as norm 1 → cosine 0.0
+    exactly, while DuckDB's list_cosine_similarity yields -1.0 there; the
+    CASE mirrors the engine so a zero embedding cannot break gate parity."""
     return (
         f"CASE WHEN list_inner_product({a}, {a}) = 0 "
         f"OR list_inner_product({b}, {b}) = 0 THEN 0.0 "
@@ -402,8 +402,8 @@ c{i} AS (
 
 
 # IVF oracle parameters — the dedup_sim wrappers run the library defaults
-# (similarity.train_ivf_centroids / build_ivf_index / ann_ivf_topk_indexed /
-# embedding_dup_pairs_ivf)
+# (similarity.IVF_SAMPLE / IVF_REFINE_ITERS and the defaults of
+# build_ivf_index / ann_ivf_topk; the index's store_probe is the dedup probe)
 _IVF_CENTROIDS = 16
 _IVF_ITERS = 2
 _IVF_SAMPLE = 4096
@@ -740,11 +740,11 @@ JOIN sz sb ON sb.doc_id = doc_b
 WHERE i * 1.0 / (sa.n + sb.n - i) >= {JACCARD_TAU}
 """
 
+    _pair_cos = _cos_sql("a.embedding::DOUBLE[]", "b.embedding::DOUBLE[]")
     sql["dedup_embedding"] = f"""
-SELECT a.vec_id AS doc_a, b.vec_id AS doc_b,
-       ROUND(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]), 6) AS cosine
+SELECT a.vec_id AS doc_a, b.vec_id AS doc_b, ROUND({_pair_cos}, 6) AS cosine
 FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= {COSINE_TAU}
+WHERE {_pair_cos} >= {COSINE_TAU}
 """
 
     sql["ann_bruteforce"] = f"""
@@ -754,7 +754,7 @@ WITH q AS (
 ),
 sims AS (
   SELECT q.qid AS query_id, e.vec_id,
-         ROUND(list_cosine_similarity(e.embedding::DOUBLE[], q.qe), 6) AS cosine
+         ROUND({_cos_sql("e.embedding::DOUBLE[]", "q.qe")}, 6) AS cosine
   FROM embeddings e CROSS JOIN q
 )
 SELECT query_id, CAST(row_number() OVER w AS BIGINT) AS rank, vec_id, cosine
@@ -1622,8 +1622,8 @@ FROM w
     # entire index unrolls into SQL: ne = round6(x/‖x‖); seeds = strided
     # rows of the vec_id-sorted ≤4096 sample; 2 unrolled Lloyd refinements
     # (assign → round6 mean → round6 renormalize); vass ranks every vector's
-    # buckets.  Similarity VALUES stay raw cosine (list_cosine_similarity),
-    # exactly like ann_bruteforce/dedup_embedding.
+    # buckets.  Similarity VALUES stay the zero-guarded cosine of the raw
+    # vectors (_cos_sql), exactly like ann_bruteforce/dedup_embedding.
     sql["ann_ivf"] = f"""
 {_ivf_cte()},
 q AS (SELECT vec_id AS qid, e AS qe, ne AS qne FROM env ORDER BY vec_id LIMIT {_NQ}),

@@ -130,13 +130,16 @@ def test_degenerate_embeddings_vs_oracle(ray_session, tmp_path):
         pd.testing.assert_frame_equal(mine, theirs, check_dtype=False), name
 
 
-def test_zero_embedding_kmeans_vs_oracle(ray_session, tmp_path):
+def test_zero_embedding_kmeans_vs_oracle(ray_session, tmp_path, monkeypatch):
     """ADVICE r3: a zero-norm embedding makes DuckDB's
-    list_cosine_similarity NaN while the engine guards norm→1 (cosine 0);
-    the oracle now carries the same guard — pin engine ≡ oracle with a
-    zero vector in the table (kmeans assignment AND SemDeDup pairs)."""
+    list_cosine_similarity -1.0 while the engine guards norm→1 (cosine 0);
+    the oracles carry the same guard — pin engine ≡ oracle with a zero
+    vector in the table (kmeans assignment, SemDeDup pairs, brute-force
+    and IVF top-k, IVF near-dup pairs)."""
     import __ray_entry__ as e
     from uci_searchengine_ray.pipelines import dedup_sim
+
+    monkeypatch.setattr(dedup_sim, "IVF_CACHE_ROOT", str(tmp_path))
 
     rng = np.random.default_rng(11)
     mat = rng.normal(size=(10, 6))
@@ -165,6 +168,9 @@ def test_zero_embedding_kmeans_vs_oracle(ray_session, tmp_path):
     for name, fn in [
         ("kmeans_clusters", dedup_sim.kmeans_clusters),
         ("semantic_dedup", dedup_sim.semantic_dedup),
+        ("ann_bruteforce", dedup_sim.ann_bruteforce),
+        ("ann_ivf", dedup_sim.ann_ivf),
+        ("dedup_embedding_ivf", dedup_sim.embedding_dup_pairs_ivf),
     ]:
         mine = _canon(fn(str(d)).to_pandas())
         theirs = _canon(con.execute(oracles[name]).fetchdf())

@@ -1,5 +1,5 @@
-"""Persisted IVF vector index: build once, query many, equality vs the
-on-the-fly IVF paths given the same centroids."""
+"""Persisted IVF vector index: build once, query many, recall vs brute
+force, and the snapshot cache behind the IVF gates."""
 
 import os
 
@@ -36,59 +36,19 @@ def test_ivf_index_layout_and_meta(ivf_index):
     assert len(buckets) >= 2  # hive-partitioned by centroid
 
 
-def test_indexed_ann_matches_onthefly_with_same_centroids(ray_session, ivf_index):
-    import ray.data
-    from uci_searchengine_ray.stages.similarity import (
-        ann_ivf_topk,
-        ann_ivf_topk_indexed,
-        load_ivf_index,
-        load_query_matrix,
-    )
-
-    _, _, cents, _ = load_ivf_index(ivf_index)
-    qids, qmat = load_query_matrix(EMB, 5)
-    ds = ray.data.read_parquet(EMB, columns=["vec_id", "embedding"])
-    fly = _sorted(ann_ivf_topk(ds, qids, qmat, k=10, centroids=cents,
-                               n_probe=4).to_pandas())
-    idx = _sorted(ann_ivf_topk_indexed(ivf_index, qids, qmat, k=10,
-                                       n_probe=4).to_pandas())
-    pd.testing.assert_frame_equal(idx, fly)
-
-
-def test_indexed_dedup_matches_onthefly_with_same_centroids(ray_session, ivf_index):
-    import ray.data
-    from uci_searchengine_ray.stages.similarity import (
-        embedding_dup_pairs_ivf,
-        embedding_dup_pairs_ivf_indexed,
-        load_ivf_index,
-    )
-
-    _, _, cents, meta = load_ivf_index(ivf_index)
-    ds = ray.data.read_parquet(EMB, columns=["vec_id", "embedding"])
-    fly = _sorted(
-        embedding_dup_pairs_ivf(
-            ds, tau=0.4, centroids=cents, n_probe=meta["store_probe"]
-        ).to_pandas()
-    )
-    idx = _sorted(
-        embedding_dup_pairs_ivf_indexed(ivf_index, tau=0.4).to_pandas()
-    )
-    pd.testing.assert_frame_equal(idx, fly)
-
-
 def test_indexed_recall_vs_bruteforce(ray_session, ivf_index):
-    """The persisted path keeps the recall the on-the-fly IVF is pinned to."""
+    """Multi-probe IVF keeps most of the exact top-k."""
     import ray.data
     from uci_searchengine_ray.stages.similarity import (
         ann_bruteforce_topk,
-        ann_ivf_topk_indexed,
+        ann_ivf_topk,
         load_query_matrix,
     )
 
     qids, qmat = load_query_matrix(EMB, 5)
     ds = ray.data.read_parquet(EMB, columns=["vec_id", "embedding"])
     exact = ann_bruteforce_topk(ds, qids, qmat, k=10).to_pandas()
-    approx = ann_ivf_topk_indexed(ivf_index, qids, qmat, k=10, n_probe=4).to_pandas()
+    approx = ann_ivf_topk(ivf_index, qids, qmat, k=10, n_probe=4).to_pandas()
     got = 0
     want = 0
     for qid in qids:
@@ -96,13 +56,13 @@ def test_indexed_recall_vs_bruteforce(ray_session, ivf_index):
         a = set(approx[approx.query_id == qid].vec_id)
         got += len(e & a)
         want += len(e)
-    assert got / want >= 0.6  # multi-probe recall floor (matches ann_ivf pin)
+    assert got / want >= 0.6  # multi-probe recall floor
 
 
 def test_build_once_query_many(ray_session, ivf_index):
     """A second query round reuses the snapshot — no retrain, no rewrite."""
     from uci_searchengine_ray.stages.similarity import (
-        ann_ivf_topk_indexed,
+        ann_ivf_topk,
         load_query_matrix,
     )
 
@@ -112,46 +72,82 @@ def test_build_once_query_many(ray_session, ivf_index):
             p = os.path.join(dirpath, f)
             mtimes[p] = os.path.getmtime(p)
     qids, qmat = load_query_matrix(EMB, 3)
-    r1 = _sorted(ann_ivf_topk_indexed(ivf_index, qids, qmat, k=5).to_pandas())
-    r2 = _sorted(ann_ivf_topk_indexed(ivf_index, qids, qmat, k=5).to_pandas())
+    r1 = _sorted(ann_ivf_topk(ivf_index, qids, qmat, k=5).to_pandas())
+    r2 = _sorted(ann_ivf_topk(ivf_index, qids, qmat, k=5).to_pandas())
     pd.testing.assert_frame_equal(r1, r2)
     for p, t in mtimes.items():
         assert os.path.getmtime(p) == t  # snapshot untouched by queries
 
 
-def test_ann_ivf_cache_invalidates_on_corpus_change(ray_session, tmp_path):
-    """The /tmp snapshot cache behind the ann_ivf gate is keyed by the
-    corpus path AND size+mtime: regenerating the embeddings at the same
-    path must rebuild the index, not answer from the stale snapshot."""
+def _write_emb(path, n, seed):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    rng = np.random.default_rng(seed)
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(n, dtype=np.int64)),
+                "embedding": pa.array(
+                    [list(map(float, r)) for r in rng.normal(size=(n, 6))],
+                    pa.list_(pa.float32()),
+                ),
+            }
+        ),
+        str(path),
+    )
+
+
+def _fresh_ann_ivf(sf_dir, index_dir):
+    """The ann_ivf gate's answer from a newly built index."""
+    from uci_searchengine_ray.pipelines import dedup_sim
+    from uci_searchengine_ray.stages import similarity
+
+    emb = os.path.join(sf_dir, "embeddings.parquet")
+    similarity.build_ivf_index(emb, index_dir)
+    qids, qmat = similarity.load_query_matrix(emb, dedup_sim.ANN_QUERIES)
+    return similarity.ann_ivf_topk(
+        index_dir, qids, qmat, k=dedup_sim.ANN_K
+    ).to_pandas()
+
+
+def test_ann_ivf_cache_invalidates_on_corpus_change(
+    ray_session, tmp_path, monkeypatch
+):
+    """The snapshot cache behind the IVF gates is keyed by the corpus path
+    AND size+mtime: regenerating the embeddings at the same path must
+    rebuild the index, not answer from the stale snapshot."""
     from uci_searchengine_ray.pipelines import dedup_sim
 
-    def write_emb(n, seed):
-        rng = np.random.default_rng(seed)
-        pq.write_table(
-            pa.table(
-                {
-                    "vec_id": pa.array(np.arange(n, dtype=np.int64)),
-                    "embedding": pa.array(
-                        [list(map(float, r)) for r in rng.normal(size=(n, 6))],
-                        pa.list_(pa.float32()),
-                    ),
-                }
-            ),
-            str(tmp_path / "embeddings.parquet"),
-        )
-
-    write_emb(64, seed=1)
-    a = dedup_sim.ann_ivf_indexed(str(tmp_path)).to_pandas()
-    write_emb(80, seed=2)  # same path, different content (and size)
-    b = dedup_sim.ann_ivf_indexed(str(tmp_path)).to_pandas()
+    monkeypatch.setattr(dedup_sim, "IVF_CACHE_ROOT", str(tmp_path / "cache"))
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    _write_emb(sf / "embeddings.parquet", 64, seed=1)
+    a = dedup_sim.ann_ivf(str(sf)).to_pandas()
+    _write_emb(sf / "embeddings.parquet", 80, seed=2)  # same path, new content
+    b = dedup_sim.ann_ivf(str(sf)).to_pandas()
     # stale snapshot would replay corpus-1 neighbors; fresh build must see
     # corpus 2 (different cosines; 80 > 64 vec ids available)
     assert not a.equals(b)
-    fresh = dedup_sim.ann_ivf(str(tmp_path)).to_pandas()
-    pd.testing.assert_frame_equal(
-        b.sort_values(["query_id", "rank"]).reset_index(drop=True),
-        fresh.sort_values(["query_id", "rank"]).reset_index(drop=True),
-    )
+    fresh = _fresh_ann_ivf(str(sf), str(tmp_path / "fresh"))
+    pd.testing.assert_frame_equal(_sorted(b), _sorted(fresh))
+
+
+def test_ivf_cache_sees_rewritten_nested_file(
+    ray_session, tmp_path, monkeypatch
+):
+    """A directory corpus is signed file by file, nested partition files
+    included: rewriting ``part=0/a.parquet`` in place (the top-level
+    listing unchanged) must rebuild the index."""
+    from uci_searchengine_ray.pipelines import dedup_sim
+
+    monkeypatch.setattr(dedup_sim, "IVF_CACHE_ROOT", str(tmp_path / "cache"))
+    sf = tmp_path / "sf"
+    part = sf / "embeddings.parquet" / "part=0"
+    part.mkdir(parents=True)
+    _write_emb(part / "a.parquet", 64, seed=1)
+    dedup_sim.ann_ivf(str(sf))  # builds and caches the first index
+    _write_emb(part / "a.parquet", 64, seed=2)
+    b = dedup_sim.ann_ivf(str(sf)).to_pandas()
+    fresh = _fresh_ann_ivf(str(sf), str(tmp_path / "fresh"))
+    pd.testing.assert_frame_equal(_sorted(b), _sorted(fresh))

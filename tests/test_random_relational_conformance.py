@@ -165,12 +165,14 @@ FROM documents GROUP BY lang
         pd.testing.assert_frame_equal(mine, theirs, obj=name)
 
 
-@pytest.mark.parametrize("seed", [13])
-def test_random_embeddings_conformance(ray_session, tmp_path, seed):
+@pytest.mark.parametrize("seed", [13, 29, 71])
+def test_random_embeddings_conformance(ray_session, tmp_path, seed, monkeypatch):
     """ANN + embedding near-dup vs oracles on random vectors with planted
     exact duplicates (cosine ties exercise the rank tie-break)."""
     import __ray_entry__ as e
     from uci_searchengine_ray.pipelines import dedup_sim
+
+    monkeypatch.setattr(dedup_sim, "IVF_CACHE_ROOT", str(tmp_path))
 
     rng = np.random.default_rng(seed)
     n, dim = 200, 16
@@ -201,7 +203,10 @@ def test_random_embeddings_conformance(ray_session, tmp_path, seed):
     oracles = e.oracle_sql()
     for name, fn in {
         "ann_bruteforce": dedup_sim.ann_bruteforce,
+        "ann_int8": dedup_sim.ann_int8,
+        "ann_ivf": dedup_sim.ann_ivf,
         "dedup_embedding": dedup_sim.embedding_dup_pairs,
+        "dedup_embedding_ivf": dedup_sim.embedding_dup_pairs_ivf,
     }.items():
         mine = _canon(fn(str(d)).to_pandas())
         theirs = _canon(con.execute(oracles[name]).fetchdf())

@@ -4,7 +4,7 @@ multimodal stages over the testdata tables (sf_dir layout)."""
 from __future__ import annotations
 
 import os
-
+import tempfile
 
 import ray.data
 
@@ -56,10 +56,41 @@ def embedding_dup_pairs(sf_dir: str) -> "ray.data.Dataset":
     )
 
 
-def embedding_dup_pairs_ivf(sf_dir: str) -> "ray.data.Dataset":
-    return similarity.embedding_dup_pairs_ivf(
-        _embeddings(sf_dir), tau=COSINE_TAU
+# root of the persisted IVF snapshots behind both IVF gates
+IVF_CACHE_ROOT = tempfile.gettempdir()
+
+
+def _ivf_index(sf_dir: str) -> str:
+    """Persisted IVF index of ``sf_dir``'s embeddings, built once per
+    corpus version: the cache key signs the path, size and mtime of every
+    file under the corpus (nested ones too) and ``IVF_FORMAT_VERSION``.
+    ``build_ivf_index``'s default store_probe is the near-dup probe count."""
+    import hashlib
+
+    from ..state import storage
+
+    emb = os.path.join(sf_dir, "embeddings.parquet")
+    fs, path = storage.resolve(emb)
+    files = (
+        storage.ls_files(fs, path)
+        if fs.get_file_info(path).type.name == "Directory"
+        else [path]
     )
+    sig = "|".join(
+        f"{f.path}:{f.size}:{f.mtime_ns}" for f in fs.get_file_info(files)
+    )
+    tag = hashlib.md5(
+        f"{path}|{sig}|{similarity.IVF_FORMAT_VERSION}".encode(),
+        usedforsecurity=False,
+    ).hexdigest()[:10]
+    idx = os.path.join(IVF_CACHE_ROOT, f"ivf_index_{tag}")
+    if not os.path.exists(os.path.join(idx, "ivf_meta.json")):
+        similarity.build_ivf_index(emb, idx)
+    return idx
+
+
+def embedding_dup_pairs_ivf(sf_dir: str) -> "ray.data.Dataset":
+    return similarity.embedding_dup_pairs_ivf(_ivf_index(sf_dir), tau=COSINE_TAU)
 
 
 def ann_bruteforce(sf_dir: str) -> "ray.data.Dataset":
@@ -73,39 +104,7 @@ def ann_ivf(sf_dir: str) -> "ray.data.Dataset":
     qids, qmat = similarity.load_query_matrix(
         os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERIES
     )
-    return similarity.ann_ivf_topk(_embeddings(sf_dir), qids, qmat, k=ANN_K)
-
-
-def ann_ivf_indexed(sf_dir: str) -> "ray.data.Dataset":
-    """IVF top-k through a PERSISTED vector index (build-once/query-many):
-    builds the snapshot under /tmp keyed by the corpus path AND its
-    size+mtime (so a regenerated embeddings table at the same path gets a
-    fresh index instead of silently answering from the stale snapshot),
-    reuses it on subsequent calls, and answers from partition-pruned
-    bucket scans."""
-    import hashlib
-
-    emb = os.path.join(sf_dir, "embeddings.parquet")
-    def fsig(p):
-        st = os.stat(p)
-        return f"{st.st_size}:{st.st_mtime_ns}"
-
-    if os.path.isdir(emb):
-        sig = "|".join(
-            f"{f}:{fsig(os.path.join(emb, f))}"
-            for f in sorted(os.listdir(emb))
-        )
-    else:
-        sig = fsig(emb)
-    tag = hashlib.md5(
-        f"{os.path.abspath(emb)}|{sig}|{similarity.IVF_FORMAT_VERSION}".encode(),
-        usedforsecurity=False,
-    ).hexdigest()[:10]
-    idx = os.path.join("/tmp", f"ivf_index_{tag}")
-    if not os.path.exists(os.path.join(idx, "ivf_meta.json")):
-        similarity.build_ivf_index(emb, idx)
-    qids, qmat = similarity.load_query_matrix(emb, ANN_QUERIES)
-    return similarity.ann_ivf_topk_indexed(idx, qids, qmat, k=ANN_K)
+    return similarity.ann_ivf_topk(_ivf_index(sf_dir), qids, qmat, k=ANN_K)
 
 
 def multimodal_image(sf_dir: str) -> "ray.data.Dataset":

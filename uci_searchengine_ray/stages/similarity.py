@@ -1,7 +1,10 @@
 """Similarity search over an embedding column (list<float>) — training-data
-extras: brute-force cosine top-k (baseline: numpy matmul per batch against a
-broadcast query matrix) and an IVF-bucketed variant (scale path), plus
-embedding-cosine near-duplicate pairs.
+extras: per-query cosine top-k scored three ways (brute force: numpy matmul
+per batch against a broadcast query matrix; IVF over a persisted,
+bucket-partitioned index snapshot; int8-quantized brute force), all merged
+by one per-query top-k kernel (``_topk_per_query``), plus embedding-cosine
+near-duplicate pairs (exact bucket-pair, or within IVF buckets of the same
+persisted snapshot).
 
 Broadcast discipline: only genuinely SMALL sides (query matrix / centroids)
 are ``ray.put`` ONCE and read inside each task — never re-shipped per batch,
@@ -13,7 +16,7 @@ after 6-decimal rounding.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -74,63 +77,90 @@ def load_query_matrix(embeddings_path: str, n_queries: int) -> Tuple[np.ndarray,
     return _to_matrix(best)
 
 
+def _topk_per_query(
+    ds: "ray.data.Dataset",
+    score_batch: Callable[[pa.Table], tuple],
+    k: int,
+    score_col: str = "cosine",
+) -> "ray.data.Dataset":
+    """Top-``k`` rows per query, ranked (score desc, vec_id asc).
+
+    ``score_batch(batch)`` returns (query ids, vec ids, 6-dp-rounded scores
+    of shape (n, nq), candidate mask of shape (n, nq) or None).  Each batch
+    keeps only its per-query top-k candidates, so nq·k rows per batch cross
+    the shuffle, not the score matrix; one groupby(query_id) merge then
+    cuts the final top-k and numbers its ranks.
+    """
+    partial_schema = pa.schema(
+        [("query_id", pa.int64()), ("vec_id", pa.int64()),
+         (score_col, pa.float64())]
+    )
+    final_schema = pa.schema(
+        [("query_id", pa.int64()), ("rank", pa.int64()),
+         ("vec_id", pa.int64()), (score_col, pa.float64())]
+    )
+
+    def partial(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return partial_schema.empty_table()
+        qids, ids, scores, mask = score_batch(batch)
+        rows = np.arange(len(ids))
+        tops = []
+        for j in range(len(qids)):
+            cand = rows if mask is None else rows[mask[:, j]]
+            tops.append(cand[np.lexsort((ids[cand], -scores[cand, j]))[:k]])
+        counts = [len(t) for t in tops]
+        top = np.concatenate([np.empty(0, np.intp)] + tops)
+        col = np.repeat(np.arange(len(qids)), counts)
+        return pa.Table.from_arrays(
+            [
+                pa.array(np.repeat(qids, counts), pa.int64()),
+                pa.array(ids[top], pa.int64()),
+                pa.array(scores[top, col], pa.float64()),
+            ],
+            schema=partial_schema,
+        )
+
+    def merge(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or "vec_id" not in group.column_names:
+            return final_schema.empty_table()
+        ids = group["vec_id"].to_numpy(zero_copy_only=False)
+        scores = group[score_col].to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, -scores))[:k]
+        n = len(order)
+        return pa.Table.from_arrays(
+            [
+                pa.array(np.full(n, group["query_id"][0].as_py(), np.int64)),
+                pa.array(np.arange(1, n + 1, dtype=np.int64)),
+                pa.array(ids[order], pa.int64()),
+                pa.array(scores[order], pa.float64()),
+            ],
+            schema=final_schema,
+        )
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby("query_id")
+        .map_groups(merge, batch_format="pyarrow")
+    )
+
+
 def ann_bruteforce_topk(
     embeddings_ds: "ray.data.Dataset",
     query_ids: np.ndarray,
     query_mat: np.ndarray,
     k: int = 10,
 ) -> "ray.data.Dataset":
-    """Exact cosine top-k per query.
-
-    map_batches: per corpus chunk, cosine of chunk×queries (one matmul),
-    emit each query's per-chunk top-k → groupby(query_id) final top-k merge.
-    Only nq·k rows per chunk cross the shuffle, not the full similarity
-    matrix.
-    """
+    """Exact cosine top-k per query: per corpus batch, cosine of
+    batch×queries in one matmul."""
     qref = ray.put((query_ids, _normalize(np.asarray(query_mat, dtype=np.float64))))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids, qmat = ray.get(qref)
         ids, mat = _to_matrix(batch)
-        sims = _normalize(mat) @ qmat.T  # (chunk, nq)
-        out = {"query_id": [], "vec_id": [], "cosine": []}
-        take = min(k, len(ids))
-        for j, qid in enumerate(qids):
-            col = sims[:, j]
-            # deterministic per-chunk candidate cut: cosine desc, vec_id asc
-            order = np.lexsort((ids, -sql_round(col, 6)))[:take]
-            out["query_id"].extend([int(qid)] * len(order))
-            out["vec_id"].extend(ids[order].tolist())
-            out["cosine"].extend(sql_round(col[order], 6).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], pa.int64()),
-                "vec_id": pa.array(out["vec_id"], pa.int64()),
-                "cosine": pa.array(out["cosine"], pa.float64()),
-            }
-        )
+        return qids, ids, sql_round(_normalize(mat) @ qmat.T, 6), None
 
-    def final_topk(group: pa.Table) -> pa.Table:
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        cos = group["cosine"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -cos))[:k]
-        n = len(order)
-        return pa.table(
-            {
-                "query_id": pa.array(
-                    [group["query_id"][0].as_py()] * n, pa.int64()
-                ),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64)),
-                "vec_id": pa.array(ids[order], type=pa.int64()),
-                "cosine": pa.array(cos[order], type=pa.float64()),
-            }
-        )
-
-    return (
-        embeddings_ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pyarrow")
-    )
+    return _topk_per_query(embeddings_ds, score, k)
 
 
 def embedding_dup_pairs(
@@ -237,93 +267,19 @@ def embedding_dup_pairs(
     )
 
 
-def embedding_dup_pairs_ivf(
-    embeddings_ds: "ray.data.Dataset",
-    tau: float = 0.95,
-    n_centroids: int = 16,
-    n_probe: int = 2,
-    centroids: Optional[np.ndarray] = None,
-) -> "ray.data.Dataset":
-    """Approximate near-dup pairs via IVF bucketing — the sub-quadratic scale
-    path: each vector is assigned to its ``n_probe`` nearest centroids
-    (multi-probe overlap catches boundary pairs), pairs are computed WITHIN
-    buckets only, then deduped.  Recall vs the exact ``embedding_dup_pairs``
-    is pinned by tests; the driver check is rows-only (approximate).
-    """
-    import pyarrow.compute as pc
-
-    if centroids is None:
-        centroids = train_ivf_centroids(embeddings_ds, n_centroids=n_centroids)
-    cref = ray.put(centroids)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cents = ray.get(cref)
-        ids, mat = _to_matrix(batch)
-        nm = _normalize(mat)
-        # _bucket_ranks: rounded-cosine ranking, rank-0 ≡ np.argmax on
-        # ties, so the persisted-index path (build_ivf_index) and the
-        # DuckDB oracle reproduce this assignment exactly
-        top = _bucket_ranks(nm, cents, n_probe)
-        out_id, out_b, out_emb = [], [], []
-        emb = batch["embedding"]
-        for r in range(len(ids)):
-            for c in top[r]:
-                out_id.append(int(ids[r]))
-                out_b.append(int(c))
-                out_emb.append(emb[r].as_py())
-        return pa.table(
-            {
-                "vec_id": pa.array(out_id, pa.int64()),
-                "bucket": pa.array(out_b, pa.int32()),
-                "embedding": pa.array(out_emb),
-            }
-        )
-
-    from .dedup import _pair_groupby
-
-    pairs = (
-        embeddings_ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lambda g: _ivf_bucket_pairs(g, tau), batch_format="pyarrow")
-    )
-    # multi-probe emits a shared-bucket pair once per shared bucket → dedup
-    return _pair_groupby(pairs, {"cosine": ("min", "cosine", pa.float64())})
-
-
-def _ivf_bucket_pairs(group: pa.Table, tau: float) -> pa.Table:
-    """All within-bucket pairs with cosine ≥ tau (shared by the on-the-fly
-    and persisted-index IVF near-dup paths)."""
-    if group.num_rows == 0 or "vec_id" not in group.column_names:
-        return pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64())}
-        )
-    ids = group["vec_id"].to_numpy(zero_copy_only=False)
-    mat = _normalize(np.asarray(group["embedding"].to_pylist(), np.float64))
-    order = np.argsort(ids)
-    ids, mat = ids[order], mat[order]
-    sims = mat @ mat.T
-    ia, ib = np.nonzero((sims >= tau) & (ids[:, None] < ids[None, :]))
-    return pa.table(
-        {
-            "doc_a": pa.array(ids[ia], pa.int64()),
-            "doc_b": pa.array(ids[ib], pa.int64()),
-            "cosine": pa.array(sql_round(sims[ia, ib], 6), pa.float64()),
-        }
-    )
+# IVF centroid training parameters, mirrored by the DuckDB oracle's unrolled
+# CTE chain (``__ray_entry__._ivf_cte``)
+IVF_SAMPLE = 4096
+IVF_REFINE_ITERS = 2
 
 
 def train_ivf_centroids(
-    embeddings_ds: "ray.data.Dataset",
-    n_centroids: int = 16,
-    refine_iters: int = 2,
-    sample_size: int = 4096,
+    embeddings_ds: "ray.data.Dataset", n_centroids: int = 16
 ) -> np.ndarray:
-    """Deterministic IVF centroid training: the ``sample_size`` LOWEST
+    """Deterministic IVF centroid training: the ``IVF_SAMPLE`` LOWEST
     vec_ids (block-order independent — per-block min-k partials, then one
-    tiny sort+limit over ≤sample_size·blocks partial rows), strided seeds,
-    then ``refine_iters`` Lloyd iterations on the sample (spherical
+    tiny sort+limit over ≤IVF_SAMPLE·blocks partial rows), strided seeds,
+    then ``IVF_REFINE_ITERS`` Lloyd iterations on the sample (spherical
     k-means: assignments by rounded cosine, means re-normalized).
 
     Every float step is 6-dp rounded (normalize → round, assignment via
@@ -334,26 +290,26 @@ def train_ivf_centroids(
     """
 
     def block_mink(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= sample_size:
+        if batch.num_rows <= IVF_SAMPLE:
             return batch
         import pyarrow.compute as pc
 
         idx = pc.sort_indices(batch, sort_keys=[("vec_id", "ascending")])
-        return batch.take(idx[:sample_size])
+        return batch.take(idx[:IVF_SAMPLE])
 
     sample = (
         embeddings_ds.map_batches(
             block_mink, batch_format="pyarrow", zero_copy_batch=True
         )
         .sort("vec_id")
-        .limit(sample_size)
+        .limit(IVF_SAMPLE)
     )
     ids, mat = _to_matrix(_concat(sample))
     order = np.argsort(ids)
     Xn = sql_round(_normalize(mat[order]), 6)
     stride = max(1, len(Xn) // n_centroids)
     cents = Xn[::stride][:n_centroids].copy()
-    for _ in range(refine_iters):
+    for _ in range(IVF_REFINE_ITERS):
         assign = _bucket_ranks(Xn, cents, 1)[:, 0]
         newC = cents.copy()
         for c in range(len(cents)):
@@ -365,81 +321,9 @@ def train_ivf_centroids(
 
 
 def _concat(ds: "ray.data.Dataset") -> pa.Table:
-    import pyarrow as _pa
-
     tables = [ray.get(r) for r in ds.to_arrow_refs()]
     tables = [t for t in tables if t.num_rows]
-    return _pa.concat_tables(tables)
-
-
-def ann_ivf_topk(
-    embeddings_ds: "ray.data.Dataset",
-    query_ids: np.ndarray,
-    query_mat: np.ndarray,
-    k: int = 10,
-    n_centroids: int = 16,
-    n_probe: int = 4,
-    centroids: Optional[np.ndarray] = None,
-) -> "ray.data.Dataset":
-    """IVF approximate top-k (scale path, approximate → rows-only driver
-    check; recall pinned by tests against brute force).
-
-    Centroids default to ``train_ivf_centroids`` over the corpus sample;
-    assignment = nearest centroid; each query probes its ``n_probe`` nearest
-    centroid buckets only.
-    """
-    qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
-    if centroids is None:
-        centroids = train_ivf_centroids(embeddings_ds, n_centroids=n_centroids)
-    cref = ray.put(centroids)
-    q_assign = _bucket_ranks(qmat, centroids, n_probe)
-    probe_sets = {int(q): set(row.tolist()) for q, row in zip(query_ids, q_assign)}
-    qref = ray.put((query_ids, qmat, probe_sets))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = ray.get(cref)
-        qids, qm, probes = ray.get(qref)
-        ids, mat = _to_matrix(batch)
-        nm = _normalize(mat)
-        assign = _bucket_ranks(nm, cents, 1)[:, 0]
-        sims = nm @ qm.T
-        out = {"query_id": [], "vec_id": [], "cosine": []}
-        for j, qid in enumerate(qids):
-            mask = np.isin(assign, list(probes[int(qid)]))
-            if not mask.any():
-                continue
-            cids, csims = ids[mask], sims[mask, j]
-            order = np.lexsort((cids, -sql_round(csims, 6)))[: min(k, len(cids))]
-            out["query_id"].extend([int(qid)] * len(order))
-            out["vec_id"].extend(cids[order].tolist())
-            out["cosine"].extend(sql_round(csims[order], 6).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], pa.int64()),
-                "vec_id": pa.array(out["vec_id"], pa.int64()),
-                "cosine": pa.array(out["cosine"], pa.float64()),
-            }
-        )
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        cos = group["cosine"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -cos))[:k]
-        n = len(order)
-        return pa.table(
-            {
-                "query_id": pa.array([group["query_id"][0].as_py()] * n, pa.int64()),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64)),
-                "vec_id": pa.array(ids[order], type=pa.int64()),
-                "cosine": pa.array(cos[order], type=pa.float64()),
-            }
-        )
-
-    return (
-        embeddings_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pyarrow")
-    )
+    return pa.concat_tables(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +341,11 @@ def build_ivf_index(
     index_dir: str,
     n_centroids: int = 16,
     store_probe: int = 2,
-    sample_size: int = 4096,
-    refine_iters: int = 2,
 ) -> str:
     """Train centroids and persist a PARTITIONED vector-index snapshot, so
-    query/dedup pipelines stop recomputing centroid training + assignment
-    per scan (VERDICT r2 next-round #5).  Layout (storage-fs snapshot, same
-    stage/commit protocol as the text index):
+    query/dedup pipelines never recompute centroid training + assignment
+    per scan.  Layout (storage-fs snapshot, same stage/commit protocol as
+    the text index):
 
       centroids.parquet            (centroid_id, vector)
       assignments/bucket=K/        (vec_id, rank, embedding) — hive-
@@ -472,11 +354,11 @@ def build_ivf_index(
 
     Every vector is written under its ``store_probe`` nearest centroids
     with ``rank`` 0..store_probe-1 (rank uses a STABLE argsort, so rank 0
-    equals np.argmax — bit-identical to the on-the-fly paths):
+    equals np.argmax):
       - ANN reads rank=0 rows of the query's probed buckets (classic IVF —
         each vector stored once per rank, no result dedup needed);
       - near-dup reads ALL ranks (multi-probe overlap catches boundary
-        pairs), then pair-dedups exactly like the on-the-fly path.
+        pairs), then pair-dedups.
     Bucket partitions prune at the read: a query touching p buckets scans
     ~p/K of the index."""
     from ..state import storage
@@ -484,10 +366,7 @@ def build_ivf_index(
     ds = ray.data.read_parquet(
         embeddings_path, columns=["vec_id", "embedding"]
     )
-    cents = train_ivf_centroids(
-        ds, n_centroids=n_centroids, refine_iters=refine_iters,
-        sample_size=sample_size,
-    )
+    cents = train_ivf_centroids(ds, n_centroids=n_centroids)
     cref = ray.put(cents)
     n_vec = ds.count()
 
@@ -564,88 +443,54 @@ def load_ivf_index(index_dir: str):
     return fs, root, cents, meta
 
 
-def ann_ivf_topk_indexed(
+def ann_ivf_topk(
     index_dir: str,
     query_ids: np.ndarray,
     query_mat: np.ndarray,
     k: int = 10,
     n_probe: int = 4,
 ) -> "ray.data.Dataset":
-    """IVF approximate top-k over a PERSISTED index: centroids load from the
-    snapshot (no training), and only the probed bucket partitions are read
-    (partition-pruned scan; rank=0 rows = the classic one-bucket-per-vector
-    IVF layout).  Given the same centroids, results are identical to
-    ``ann_ivf_topk`` — pinned by tests."""
+    """IVF approximate top-k over a persisted index (``build_ivf_index``):
+    each query probes its ``n_probe`` nearest centroid buckets; only the
+    probed bucket partitions are read (partition-pruned scan of rank=0
+    rows, the classic one-bucket-per-vector IVF layout), and a row is a
+    candidate for the queries whose probe set holds its bucket."""
     import pyarrow.compute as pc
 
-    fs, root, cents, _ = load_ivf_index(index_dir)
     from ..state import storage
 
+    fs, root, cents, _ = load_ivf_index(index_dir)
     qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
-    q_assign = _bucket_ranks(qmat, cents, n_probe)
-    probe_sets = {int(q): set(row.tolist()) for q, row in zip(query_ids, q_assign)}
-    touched = sorted({int(b) for row in q_assign for b in row})
-    qref = ray.put((query_ids, qmat, probe_sets))
+    q_assign = _bucket_ranks(qmat, cents, n_probe)  # (nq, n_probe)
+    probes = np.zeros((len(cents), len(qmat)), dtype=bool)
+    probes[q_assign, np.arange(len(qmat))[:, None]] = True
+    qref = ray.put((query_ids, qmat, probes))
 
     ds = ray.data.read_parquet(
         storage.join(root, "assignments"),
         filesystem=fs,
         columns=["vec_id", "embedding", "bucket_id"],
-        filter=(pc.field("bucket_id").isin(touched)) & (pc.field("rank") == 0),
+        filter=(pc.field("bucket_id").isin(np.unique(q_assign).tolist()))
+        & (pc.field("rank") == 0),
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        qids, qm, probes = ray.get(qref)
+    def score(batch: pa.Table):
+        qids, qm, probe = ray.get(qref)
         ids, mat = _to_matrix(batch)
-        bucket = batch["bucket_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sims = _normalize(mat) @ qm.T
-        out = {"query_id": [], "vec_id": [], "cosine": []}
-        for j, qid in enumerate(qids):
-            mask = np.isin(bucket, list(probes[int(qid)]))
-            if not mask.any():
-                continue
-            cids, csims = ids[mask], sims[mask, j]
-            order = np.lexsort((cids, -sql_round(csims, 6)))[: min(k, len(cids))]
-            out["query_id"].extend([int(qid)] * len(order))
-            out["vec_id"].extend(cids[order].tolist())
-            out["cosine"].extend(sql_round(csims[order], 6).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], pa.int64()),
-                "vec_id": pa.array(out["vec_id"], pa.int64()),
-                "cosine": pa.array(out["cosine"], pa.float64()),
-            }
-        )
+        bucket = batch["bucket_id"].to_numpy(zero_copy_only=False)
+        return qids, ids, sql_round(_normalize(mat) @ qm.T, 6), probe[bucket]
 
-    def final_topk(group: pa.Table) -> pa.Table:
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        cos = group["cosine"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -cos))[:k]
-        n = len(order)
-        return pa.table(
-            {
-                "query_id": pa.array([group["query_id"][0].as_py()] * n, pa.int64()),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64)),
-                "vec_id": pa.array(ids[order], type=pa.int64()),
-                "cosine": pa.array(cos[order], type=pa.float64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pyarrow")
-    )
+    return _topk_per_query(ds, score, k)
 
 
-def embedding_dup_pairs_ivf_indexed(
+def embedding_dup_pairs_ivf(
     index_dir: str, tau: float = 0.95
 ) -> "ray.data.Dataset":
-    """Approximate near-dup pairs over a PERSISTED index: reads ALL stored
-    ranks (the multi-probe duplication baked in at build time), computes
-    within-bucket pairs, pair-dedups.  Identical to
-    ``embedding_dup_pairs_ivf`` with n_probe = the index's store_probe and
-    the same centroids — pinned by tests."""
+    """Approximate near-dup pairs over a persisted index: reads ALL stored
+    ranks (the ``store_probe``-way multi-probe duplication baked in at build
+    time, so boundary pairs meet in a shared bucket), computes within-bucket
+    pairs with cosine ≥ tau, pair-dedups.  Recall vs the exact
+    ``embedding_dup_pairs`` is pinned by tests."""
     from ..state import storage
     from .dedup import _pair_groupby
 
@@ -655,9 +500,31 @@ def embedding_dup_pairs_ivf_indexed(
         filesystem=fs,
         columns=["vec_id", "embedding", "bucket_id"],
     )
+
+    def bucket_pairs(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or "vec_id" not in group.column_names:
+            return pa.table(
+                {"doc_a": pa.array([], pa.int64()),
+                 "doc_b": pa.array([], pa.int64()),
+                 "cosine": pa.array([], pa.float64())}
+            )
+        ids, mat = _to_matrix(group)
+        order = np.argsort(ids)
+        ids, mat = ids[order], _normalize(mat[order])
+        sims = mat @ mat.T
+        ia, ib = np.nonzero((sims >= tau) & (ids[:, None] < ids[None, :]))
+        return pa.table(
+            {
+                "doc_a": pa.array(ids[ia], pa.int64()),
+                "doc_b": pa.array(ids[ib], pa.int64()),
+                "cosine": pa.array(sql_round(sims[ia, ib], 6), pa.float64()),
+            }
+        )
+
     pairs = ds.groupby("bucket_id").map_groups(
-        lambda g: _ivf_bucket_pairs(g, tau), batch_format="pyarrow"
+        bucket_pairs, batch_format="pyarrow"
     )
+    # a pair sharing several buckets is emitted once per shared bucket
     return _pair_groupby(pairs, {"cosine": ("min", "cosine", pa.float64())})
 
 
@@ -754,62 +621,16 @@ def ann_int8_topk(
     )
     qref = ray.put((np.asarray(query_ids, dtype=np.int64), sq, qq))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids, qsc, qmat = ray.get(qref)
         ids, X = _to_matrix(batch)
-        out = {"query_id": [], "vec_id": [], "qscore": []}
-        if len(ids):
-            # round6 the unit vectors BEFORE quantizing: the oracle's
-            # sqrt(list_dot_product) norm can differ from numpy's by an
-            # ulp; 6-digit pre-rounding makes the quantization input
-            # identical on both sides except on measure-zero round ties
-            sv, qx = _quantize_matrix(sql_round(_normalize(X), 6))
-            dots = qx.astype(np.int32) @ qmat.astype(np.int32).T  # (n, nq)
-            take = min(k, len(ids))
-            for j, qid in enumerate(qids):
-                # left-assoc (dot·s_q)·s_v mirrored in the oracle SQL
-                col = sql_round(
-                    (dots[:, j].astype(np.float64) * qsc[j]) * sv, 6
-                )
-                order = np.lexsort((ids, -col))[:take]
-                out["query_id"].extend([int(qid)] * len(order))
-                out["vec_id"].extend(ids[order].tolist())
-                out["qscore"].extend(col[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], pa.int64()),
-                "vec_id": pa.array(out["vec_id"], pa.int64()),
-                "qscore": pa.array(out["qscore"], pa.float64()),
-            }
-        )
+        # round6 the unit vectors BEFORE quantizing: the oracle's
+        # sqrt(list_dot_product) norm can differ from numpy's by an
+        # ulp; 6-digit pre-rounding makes the quantization input
+        # identical on both sides except on measure-zero round ties
+        sv, qx = _quantize_matrix(sql_round(_normalize(X), 6))
+        dots = (qx.astype(np.int32) @ qmat.astype(np.int32).T).astype(np.float64)
+        # left-assoc (dot·s_q)·s_v mirrored in the oracle SQL
+        return qids, ids, sql_round((dots * qsc[None, :]) * sv[:, None], 6), None
 
-    def final_topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "vec_id" not in group.column_names:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "qscore": pa.array([], pa.float64()),
-                }
-            )
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        dots = group["qscore"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -dots))[:k]
-        n = len(order)
-        return pa.table(
-            {
-                "query_id": pa.array(
-                    [group["query_id"][0].as_py()] * n, pa.int64()
-                ),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64)),
-                "vec_id": pa.array(ids[order], type=pa.int64()),
-                "qscore": pa.array(dots[order], type=pa.float64()),
-            }
-        )
-
-    return (
-        embeddings_ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pyarrow")
-    )
+    return _topk_per_query(embeddings_ds, score, k, score_col="qscore")
