@@ -1,26 +1,36 @@
-"""CLI façade smoke: build → search → phrase → stats → catalog, in-process."""
+"""CLI façade smoke: build → search → phrase → stats → catalog → serve,
+in-process; only the build starts a Ray session."""
 
 import json
+import threading
+import time
 
 import pytest
 
-from uci_searchengine_ray.__main__ import main
+from uci_searchengine_ray import __main__ as cli
 
 
 def _run(capsys, argv):
-    rc = main(argv)
+    rc = cli.main(argv)
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     return json.loads(out)
 
 
-def test_cli_flow(ray_session, synthetic_corpus_dir, tmp_path, capsys):
+def test_cli_flow(ray_session, synthetic_corpus_dir, tmp_path, capsys,
+                  monkeypatch):
     idx = str(tmp_path / "idx")
     built = _run(capsys, [
         "build", "--corpus", synthetic_corpus_dir, "--index", idx,
         "--positions",
     ])
     assert built["n_docs"] == 600 and built["store_positions"] is True
+
+    def no_ray(num_cpus):
+        raise AssertionError("this command needs no Ray session")
+
+    # every command below answers without a Ray session
+    monkeypatch.setattr(cli, "_ray_session", no_ray)
 
     res = _run(capsys, [
         "search", "--index", idx, "--query", "return self", "--per-page", "3",
@@ -49,6 +59,18 @@ def test_cli_flow(ray_session, synthetic_corpus_dir, tmp_path, capsys):
     lst = _run(capsys, ["catalog", "--root", root, "list"])
     assert lst[0]["name"] == "snapA" and lst[0]["active"] is True
 
+    # serve's wait loop sleeps on the main thread: interrupt it there only
+    real_sleep, main_thread = time.sleep, threading.main_thread()
+
+    def interrupt(seconds):
+        if threading.current_thread() is main_thread:
+            raise KeyboardInterrupt
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    sv = _run(capsys, ["serve", "--index", idx, "--port", "0"])
+    assert sv["serving"] is True and sv["port"] > 0
+
 
 def test_cli_curation_and_export(ray_session, tmp_path, capsys):
     sf = "/root/testdata/sf0.001"
@@ -67,3 +89,4 @@ def test_cli_curation_and_export(ray_session, tmp_path, capsys):
     ex2 = _run(capsys, ["export", "--sf", sf, "--out", ex_dir, "--resume"])
     assert ex2["docs"] == ex["docs"]
     assert len(ex2["skipped_shards"]) > 0
+

@@ -1,7 +1,10 @@
-"""One doc table per scorer: a ``QueryScorer`` opens ``doc_meta`` once, and
-its index and its page lookups share the one sorted id array."""
+"""One doc table per scorer: a ``QueryScorer`` opens each ``doc_meta`` file
+once, and its index and its page lookups share the one sorted id array."""
 
-import pyarrow.dataset as pa_ds
+import glob
+import os
+
+import pyarrow.parquet as pq
 import pytest
 
 from uci_searchengine_ray.pipelines.search import QueryScorer
@@ -9,16 +12,16 @@ from uci_searchengine_ray.pipelines.search import QueryScorer
 
 @pytest.fixture
 def doc_meta_opens(monkeypatch):
-    """The ``pyarrow.dataset.dataset`` calls that open ``doc_meta``."""
+    """The paths of the ``pq.ParquetFile`` opens under ``doc_meta``."""
     calls = []
-    real = pa_ds.dataset
+    real = pq.ParquetFile.__init__
 
-    def counting(source, *args, **kwargs):
+    def counting(self, source, *args, **kwargs):
         if "doc_meta" in str(source):
-            calls.append(source)
-        return real(source, *args, **kwargs)
+            calls.append(str(source))
+        real(self, source, *args, **kwargs)
 
-    monkeypatch.setattr(pa_ds, "dataset", counting)
+    monkeypatch.setattr(pq.ParquetFile, "__init__", counting)
     return calls
 
 
@@ -33,7 +36,8 @@ def test_scorer_reads_doc_meta_once(built_index, doc_meta_opens, mode,
     scorer = QueryScorer(built_index, mode=mode, with_snippets=with_snippets)
     env = scorer.search("return self value")
     assert env["total_results"] > 0 and env["results"]
-    assert len(doc_meta_opens) == 1
+    files = glob.glob(os.path.join(built_index, "doc_meta", "*", "*.parquet"))
+    assert files and sorted(doc_meta_opens) == sorted(files)
     if with_snippets:
         assert scorer.docstore.ids is scorer.index.docs.ids
         assert all(r["url"] for r in env["results"])

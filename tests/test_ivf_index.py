@@ -151,3 +151,36 @@ def test_ivf_cache_sees_rewritten_nested_file(
     b = dedup_sim.ann_ivf(str(sf)).to_pandas()
     fresh = _fresh_ann_ivf(str(sf), str(tmp_path / "fresh"))
     pd.testing.assert_frame_equal(_sorted(b), _sorted(fresh))
+
+
+def test_ivf_cache_keeps_one_snapshot_per_corpus_path(
+    ray_session, tmp_path, monkeypatch
+):
+    """Each corpus version builds a new snapshot and removes the path's
+    older ones: after two rewrites one snapshot of the path remains, and it
+    answers as a fresh build.  Another corpus's snapshot and a dir that
+    does not hold ``ivf_meta.json`` are left alone."""
+    from uci_searchengine_ray.pipelines import dedup_sim
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(dedup_sim, "IVF_CACHE_ROOT", str(cache))
+    other = tmp_path / "other"
+    other.mkdir()
+    _write_emb(other / "embeddings.parquet", 48, seed=7)
+    kept = dedup_sim._ivf_index(str(other))
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    _write_emb(sf / "embeddings.parquet", 64, seed=1)
+    first = dedup_sim._ivf_index(str(sf))
+    stray = first.rsplit("_", 1)[0] + "_notmine"
+    os.makedirs(stray)
+    for n, seed in ((72, 2), (80, 3)):
+        _write_emb(sf / "embeddings.parquet", n, seed=seed)
+        b = dedup_sim.ann_ivf(str(sf)).to_pandas()
+    snaps = sorted(str(p) for p in cache.glob("ivf_index_*")
+                   if (p / "ivf_meta.json").exists())
+    latest = dedup_sim._ivf_index(str(sf))
+    assert latest != first and sorted([kept, latest]) == snaps
+    assert os.path.isdir(stray)
+    fresh = _fresh_ann_ivf(str(sf), str(tmp_path / "fresh"))
+    pd.testing.assert_frame_equal(_sorted(b), _sorted(fresh))

@@ -33,24 +33,36 @@ def test_block_merge_key_is_term_key(built_index):
     assert tbl["merge_key"].to_pylist() == expect
 
 
-def test_term_scan_prunes_to_its_key(built_index):
+def test_term_scan_prunes_to_its_key(built_index, monkeypatch):
+    """A term's ``prefetch`` reads only row groups of its merge key (by
+    their statistics), some but not all of them, and those hold every
+    block of the term."""
     idx = PostingsIndex(built_index)
     term = "return"
     key = term_shard(term, load_stats(built_index)["num_merge_groups"])
-    flt = idx._scan_filter([term])
-    kept = [rg for frag in idx._dataset.get_fragments()
-            for rg in frag.split_by_row_group(flt)]
-    total = sum(frag.metadata.num_row_groups
-                for frag in idx._dataset.get_fragments())
-    assert 1 <= len(kept) < total
-    for rg in kept:
-        (info,) = rg.row_groups
-        stats = info.statistics["merge_key"]
-        assert stats["min"] == stats["max"] == key
-    # the pruned scan reads every block of the term
-    got = idx._dataset.to_table(filter=flt)
-    assert got.num_rows == idx.n_blocks(term) > 0
-    assert set(got["term"].to_pylist()) == {term}
+    total = sum(md.num_row_groups for _, md in idx._files)
+    assert 1 <= len(idx._key_groups[key]) < total
+
+    reads = []  # (file footer, row groups, rows read) per read
+    real = pq.ParquetFile.read_row_groups
+
+    def spy(self, row_groups, *args, **kwargs):
+        got = real(self, row_groups, *args, **kwargs)
+        reads.append((self.metadata, list(row_groups), got))
+        return got
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    idx.prefetch([term])
+    read = [(md, rg) for md, rgs, _ in reads for rg in rgs]
+    assert 1 <= len(read) < total
+    for md, rg in read:
+        col = md.schema.names.index("merge_key")
+        stats = md.row_group(rg).column(col).statistics
+        assert stats.min == stats.max == key
+    # the read holds every block of the term
+    terms = [t for _, _, got in reads for t in got["term"].to_pylist()]
+    assert terms.count(term) == idx.n_blocks(term) > 0
+    assert len(idx._payload(term).n) == idx.n_blocks(term)
 
 
 def test_runs_layout(built_index):

@@ -100,7 +100,6 @@ def positional_index(ray_session, synthetic_corpus_dir, tmp_path_factory):
 
 _SERVE_WITHOUT_RAY = r"""
 import http.client, json, os, sys
-import ray
 from uci_searchengine_ray.pipelines.search import (
     PostingsIndex, QueryScorer, score_phrase)
 from uci_searchengine_ray.server import SearchServer
@@ -131,7 +130,9 @@ def parent(pid):
 children = [int(p) for p in os.listdir("/proc")
             if p.isdigit() and parent(p) == os.getpid()]
 print(json.dumps({
-    "ray": ray.is_initialized(), "children": children,
+    "modules": [m for m in ("ray", "ray.data", "pyarrow.dataset")
+                if m in sys.modules],
+    "children": children,
     "status": [s for s, _ in bodies],
     "hits": [b["total_results"] for _, b in bodies],
     "reference_hits": ref["total_results"], "phrase_hits": len(phrase_ids),
@@ -141,8 +142,9 @@ print(json.dumps({
 
 def test_serving_starts_no_ray(built_index, positional_index):
     """A fresh process without a Ray session opens snapshots and answers
-    queries over HTTP, in reference mode and by phrase: Ray stays
-    uninitialized and no child process is left behind."""
+    queries over HTTP, in reference mode and by phrase: it never imports
+    Ray, Ray Data or ``pyarrow.dataset``, and leaves no child process
+    behind."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("RAY_")}
     env["PYTHONPATH"] = REPO
     out = subprocess.run(
@@ -150,7 +152,7 @@ def test_serving_starts_no_ray(built_index, positional_index):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert got["ray"] is False
+    assert got["modules"] == []
     assert got["children"] == []
     assert got["status"] == [200, 200, 200]
     assert got["hits"][0] > 0 and got["hits"][2] == 0

@@ -8,7 +8,10 @@
     python -m uci_searchengine_ray catalog {list,switch,delete,export,import,register} ...
 
 Owns its Ray session (guarded init; the library itself never calls
-ray.init).  Output is JSON on stdout.
+ray.init), started only by the commands that run Ray: ``search``,
+``phrase``, ``stats`` and ``catalog`` answer in this process without it, and
+``serve`` starts it only for ``--replicas`` or a ``--pages`` crawl table.
+Output is JSON on stdout.
 """
 
 from __future__ import annotations
@@ -194,7 +197,6 @@ def main(argv=None) -> int:
         print(json.dumps({"corpus": args.out, "rows": parquet_rows(args.out)}))
 
     elif args.cmd == "search":
-        _ray_session(args.num_cpus)
         from .pipelines.search import search_one
 
         out = search_one(args.index, args.query, page=args.page,
@@ -202,7 +204,6 @@ def main(argv=None) -> int:
         print(json.dumps(out))
 
     elif args.cmd == "phrase":
-        _ray_session(args.num_cpus)
         from .pipelines.search import PostingsIndex, score_phrase
 
         ids, ns = score_phrase(PostingsIndex(args.index), args.query)
@@ -215,8 +216,8 @@ def main(argv=None) -> int:
         }))
 
     elif args.cmd == "stats":
-        from .pipelines.index_build import load_stats
         from .state import manifest
+        from .state.docstore import load_stats
 
         print(json.dumps({
             **load_stats(args.index),
@@ -226,7 +227,8 @@ def main(argv=None) -> int:
     elif args.cmd == "serve":
         if not args.index and not args.catalog_root:
             p.error("serve requires --index or --catalog-root")
-        _ray_session(args.num_cpus)
+        if args.replicas > 0 or args.pages:
+            _ray_session(args.num_cpus)
         from .server import SearchServer
 
         srv = SearchServer(

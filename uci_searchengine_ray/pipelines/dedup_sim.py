@@ -4,6 +4,7 @@ multimodal stages over the testdata tables (sf_dir layout)."""
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 
 import ray.data
@@ -62,12 +63,20 @@ IVF_CACHE_ROOT = tempfile.gettempdir()
 
 def _ivf_index(sf_dir: str) -> str:
     """Persisted IVF index of ``sf_dir``'s embeddings, built once per
-    corpus version: the cache key signs the path, size and mtime of every
-    file under the corpus (nested ones too) and ``IVF_FORMAT_VERSION``.
-    ``build_ivf_index``'s default store_probe is the near-dup probe count."""
+    corpus version into ``ivf_index_{path tag}_{version tag}``: the path
+    tag hashes the corpus path, the version tag the path, size and mtime
+    of every file under the corpus (nested ones too) and
+    ``IVF_FORMAT_VERSION``.  A build removes the path's snapshots of other
+    versions (only dirs holding ``ivf_meta.json``, which this helper
+    writes).  ``build_ivf_index``'s default store_probe is the near-dup
+    probe count."""
+    import glob
     import hashlib
 
     from ..state import storage
+
+    def tag(text: str) -> str:
+        return hashlib.md5(text.encode(), usedforsecurity=False).hexdigest()[:10]
 
     emb = os.path.join(sf_dir, "embeddings.parquet")
     fs, path = storage.resolve(emb)
@@ -79,13 +88,13 @@ def _ivf_index(sf_dir: str) -> str:
     sig = "|".join(
         f"{f.path}:{f.size}:{f.mtime_ns}" for f in fs.get_file_info(files)
     )
-    tag = hashlib.md5(
-        f"{path}|{sig}|{similarity.IVF_FORMAT_VERSION}".encode(),
-        usedforsecurity=False,
-    ).hexdigest()[:10]
-    idx = os.path.join(IVF_CACHE_ROOT, f"ivf_index_{tag}")
+    prefix = os.path.join(IVF_CACHE_ROOT, f"ivf_index_{tag(path)}_")
+    idx = prefix + tag(f"{sig}|{similarity.IVF_FORMAT_VERSION}")
     if not os.path.exists(os.path.join(idx, "ivf_meta.json")):
         similarity.build_ivf_index(emb, idx)
+        for old in glob.glob(glob.escape(prefix) + "*"):
+            if old != idx and os.path.exists(os.path.join(old, "ivf_meta.json")):
+                shutil.rmtree(old, ignore_errors=True)
     return idx
 
 

@@ -82,15 +82,14 @@ import ray.data
 
 from ..config import EngineConfig
 from ..state import manifest, storage
-from ..state.docstore import batch_ordinals
+# load_stats stays importable from here; the doc table's module owns it so
+# serving reads stats.json without importing this Ray pipeline
+from ..state.docstore import SNAPSHOT_FORMAT, batch_ordinals, load_stats  # noqa: F401
 from ..stages.postings import (
     RUN_SCHEMA, TokenizeEncodeRuns, key_ranges, make_merge_shard)
 
 STAGE_RUNS = "runs"
 STAGE_POSTINGS = "postings"
-# stats.json "format": 2 = block doc_ids are doc ordinals and blocks carry
-# no doc lengths; snapshots without the field hold hashed ids + doc_lens
-SNAPSHOT_FORMAT = 2
 # build_config.json "run_format": 2 = one runs file per tokenize batch,
 # docs as batch ranks; a pin without it holds runs of hashed doc ids
 # under merge_key=M/ dirs
@@ -464,9 +463,3 @@ def build_index(
             },
         )
     return index_dir
-
-
-def load_stats(index_dir: str) -> dict:
-    fs, root = storage.resolve(index_dir)
-    return storage.read_json(fs, storage.join(root, "stats.json"))
-

@@ -18,6 +18,11 @@ Reference scoring mode implements SURVEY.md §1.4 exactly: duplicate query
 terms contribute per occurrence in token order (search.py:89), tf = count /
 doc_len, idf = ln(N/(df+1)) (search.py:98), score>0 filter (search.py:102),
 deterministic order (score desc, doc_id asc).
+
+Serving imports neither Ray nor ``pyarrow.dataset``: the snapshot is read
+through ``pyarrow.parquet`` (here and in ``state.docstore``), ``search_batch``
+imports ``ray.data`` when called, and ``ScorerReplica`` (the Ray actor class)
+is built on first access.
 """
 
 from __future__ import annotations
@@ -28,17 +33,16 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pa_ds
-
-import ray.data
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..config import EngineConfig
 from ..functions import codecs
 from ..functions.hashing import term_shard
 from ..functions.scoring import bm25_term_score, build_snippet
 from ..functions.tokenizer import TOKENIZERS
-from ..state.docstore import DocStore
-from .index_build import SNAPSHOT_FORMAT, load_stats
+from ..state import storage
+from ..state.docstore import SNAPSHOT_FORMAT, DocStore, load_stats
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -91,14 +95,14 @@ class PostingsIndex:
     never the binary payloads: at 100× corpus the per-actor resident
     metadata stays ~1/1000 of the index bytes (VERDICT r1 "What's wrong"
     #1).  Payload columns (each block's posting count and encoded blobs)
-    are fetched on demand, all of one query's terms in ONE parquet scan
-    (``prefetch``), and LRU-cached under a byte budget.  Merge keys hash
-    terms, so every row group spans the whole vocabulary and term min/max
-    statistics prune nothing; the scan prunes by merge key instead.  Every
-    block row of a format-2 snapshot carries its ``merge_key``
-    (``term_shard(term, stats["num_merge_groups"])``) and the build writes
-    one row group per key, so a term's read touches only its key's row
-    groups.
+    are fetched on demand, all of one query's terms in one call
+    (``prefetch``), and LRU-cached under a byte budget.  Every block row
+    of a format-2 snapshot carries its ``merge_key`` (``term_shard(term,
+    stats["num_merge_groups"])``) and the build writes one row group per
+    key, so ``__init__`` maps each key to its (file, row group) pairs from
+    the postings files' footer statistics, and a term's read is those row
+    groups alone.  (Merge keys hash terms, so term min/max statistics
+    would prune nothing.)
 
     The index speaks doc *ordinals*, as its blocks store them:
     ``postings(term)`` is (ordinals, tfs).  ``docs`` is the doc table that
@@ -132,30 +136,45 @@ class PostingsIndex:
         self.b = float(self.stats["bm25_b"])
         self.docs = docs or DocStore(index_dir, pages=False)
 
-        from ..state import storage
-
-        fs, root = storage.resolve(index_dir)
-        postings_path = storage.join(root, "postings")
+        self._fs, root = storage.resolve(index_dir)
         self._terms: Dict[str, dict] = {}
         self._payloads = _LRU()  # term → encoded blocks
         self._decoded = _LRU()   # term → (doc ordinals, tfs)
         self._scored = _LRU()    # term → (doc ordinals, BM25 contributions)
         self._budget = payload_budget_bytes
         self._pinned: frozenset = frozenset()  # the current query's terms
-        self._dataset = None
         self._num_keys = int(self.stats["num_merge_groups"])
+        # postings files with their footers, and merge key → the (file,
+        # row group) pairs whose merge_key statistics cover it
+        self._files: List[Tuple[str, "pq.FileMetaData"]] = []
+        self._key_groups: Dict[int, List[Tuple[int, int]]] = {}
         self.meta_bytes = 0  # resident block-metadata accounting (bench)
         self.blocks_decoded = 0  # posting blocks decoded over the lifetime
 
-        if not storage.ls_files(fs, postings_path, suffix=".parquet"):
-            return  # empty-but-valid snapshot
-        self._dataset = pa_ds.dataset(postings_path, format="parquet",
-                                      filesystem=fs)
-        tbl = self._dataset.to_table(columns=["term", "df"])
-        self.meta_bytes = tbl.nbytes
-        for term, df in zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()):
-            e = self._terms.setdefault(term, {"df": df, "blocks": 0})
-            e["blocks"] += 1
+        # an empty-but-valid snapshot has no postings files
+        for path in storage.ls_files(self._fs, storage.join(root, "postings"),
+                                     suffix=".parquet"):
+            with pq.ParquetFile(path, filesystem=self._fs) as f:
+                md = f.metadata
+                tbl = f.read(columns=["term", "df"])
+            self._index_row_groups(len(self._files), md)
+            self._files.append((path, md))
+            self.meta_bytes += tbl.nbytes
+            for term, df in zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()):
+                e = self._terms.setdefault(term, {"df": df, "blocks": 0})
+                e["blocks"] += 1
+
+    def _index_row_groups(self, file_idx: int, md: "pq.FileMetaData") -> None:
+        """Add file ``file_idx``'s row groups to the key map, each under
+        every key its ``merge_key`` min/max statistics span (a row group
+        without them under every key)."""
+        col = md.schema.names.index("merge_key")
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(col).statistics
+            lo, hi = ((st.min, st.max) if st is not None and st.has_min_max
+                      else (0, self._num_keys - 1))
+            for key in range(lo, hi + 1):
+                self._key_groups.setdefault(key, []).append((file_idx, rg))
 
     def __contains__(self, term: str) -> bool:
         return term in self._terms
@@ -187,10 +206,11 @@ class PostingsIndex:
                 lru.drop(old)
 
     def prefetch(self, terms: Sequence[str]) -> None:
-        """Fetch payload blobs for the given terms in ONE pruned parquet scan
-        (call once per query with all its terms).  ``terms`` become the
-        current query's, which no cache evicts until the next call; terms
-        already resident are refreshed in LRU order."""
+        """Fetch payload blobs for the given terms (call once per query with
+        all its terms): the row groups of their merge keys, one read per
+        postings file.  ``terms`` become the current query's, which no
+        cache evicts until the next call; terms already resident are
+        refreshed in LRU order."""
         self._pinned = frozenset(terms)
         missing = []
         for t in terms:
@@ -200,10 +220,7 @@ class PostingsIndex:
                 missing.append(t)
         if not missing:
             return
-        tbl = self._dataset.to_table(
-            columns=["term", "block_id", "n", *self._PAYLOAD_COLS],
-            filter=self._scan_filter(missing),
-        )
+        tbl = self._read_terms(missing)
         by_term: Dict[str, list] = {t: [] for t in missing}
         for row in zip(*(tbl[c].to_pylist() for c in tbl.column_names)):
             by_term[row[0]].append(row[1:])
@@ -215,13 +232,22 @@ class PostingsIndex:
                 len(b) for c in blobs for b in c))
         self._evict()
 
-    def _scan_filter(self, terms: Sequence[str]):
-        """The payload scan's filter for ``terms``: their merge keys (which
-        prune row groups by statistics), then the terms themselves."""
-        import pyarrow.compute as pc
-
-        keys = sorted({term_shard(t, self._num_keys) for t in terms})
-        return pc.field("merge_key").isin(keys) & pc.field("term").isin(list(terms))
+    def _read_terms(self, terms: Sequence[str]) -> pa.Table:
+        """The block rows of ``terms`` (term, block_id, n and the payload
+        columns): their merge keys' row groups, then the terms' rows."""
+        by_file: Dict[int, set] = {}
+        for key in {term_shard(t, self._num_keys) for t in terms}:
+            for fi, rg in self._key_groups.get(key, ()):
+                by_file.setdefault(fi, set()).add(rg)
+        parts = []
+        for fi, rgs in sorted(by_file.items()):
+            path, md = self._files[fi]
+            with pq.ParquetFile(path, metadata=md, filesystem=self._fs) as f:
+                parts.append(f.read_row_groups(
+                    sorted(rgs),
+                    columns=["term", "block_id", "n", *self._PAYLOAD_COLS]))
+        tbl = pa.concat_tables(parts)
+        return tbl.filter(pc.is_in(tbl["term"], value_set=pa.array(terms)))
 
     def _payload(self, term: str) -> "_Blocks":
         got = self._payloads.get(term)
@@ -569,6 +595,8 @@ def search_batch(
     with_snippets: bool = True,
 ) -> "ray.data.Dataset":
     """Score a Dataset (or list) of queries through the actor pool."""
+    import ray.data
+
     cfg = cfg or EngineConfig()
     if isinstance(queries, list):
         queries = ray.data.from_items(queries)
@@ -586,14 +614,14 @@ def search_batch(
     )
 
 
-@ray.remote(num_cpus=1)
-class ScorerReplica:
+class _ScorerReplica:
     """One warm ``QueryScorer`` per actor PROCESS — the GIL-free serving
-    replica behind ``SearchServer(scorer_replicas=N)``.  In-process
-    scoring holds the interpreter lock, so one server process scores one
-    query at a time (measured: a pool of 8 in-process scorers served 8
-    concurrent HTTP clients BELOW one client's throughput); N replicas
-    put each scorer on its own core, so concurrent qps scales
+    replica behind ``SearchServer(scorer_replicas=N)``, as the Ray actor
+    class ``ScorerReplica`` (``ray.remote(num_cpus=1)`` of this class).
+    In-process scoring holds the interpreter lock, so one server process
+    scores one query at a time (measured: a pool of 8 in-process scorers
+    served 8 concurrent HTTP clients BELOW one client's throughput); N
+    replicas put each scorer on its own core, so concurrent qps scales
     with replicas until the index's payload reads bound it.  Answers are
     byte-identical to the in-process path (same scorer, same snippets)."""
 
@@ -602,6 +630,18 @@ class ScorerReplica:
 
     def search(self, query: str, page: int = 1, per_page: int = 10) -> dict:
         return self._scorer.search(query, page, per_page)
+
+
+def __getattr__(name: str):
+    """``ScorerReplica``, the Ray actor class of ``_ScorerReplica``, built
+    on first access (PEP 562) so that importing this module imports no
+    Ray; later lookups find it in the module globals."""
+    if name == "ScorerReplica":
+        import ray
+
+        globals()[name] = ray.remote(num_cpus=1)(_ScorerReplica)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def search_one(

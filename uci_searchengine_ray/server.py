@@ -26,7 +26,10 @@ Stdlib ``ThreadingHTTPServer`` — no web framework in this container.
 ``/api/search`` runs either on one warm in-process ``QueryScorer`` behind one
 lock (scoring holds the GIL, so more in-process scorers add no throughput)
 or, with ``scorer_replicas=N``, on up to N ``ScorerReplica`` Ray actors, one
-warm scorer per process.  The WebSocket endpoint is a minimal RFC 6455
+warm scorer per process.  Ray is imported only for those replicas and for
+the crawl (``/api/crawler/start``, a Ray Data pipeline): a server without
+replicas that does not crawl runs without Ray in its process, and reads its
+snapshot through ``pyarrow.parquet`` alone.  The WebSocket endpoint is a minimal RFC 6455
 server half (handshake + unmasked text frames out, masked control frames
 in), the stand-in for the reference's ``broadcast_log`` fan-out
 (websocket_utils.py:12-38); each connection owns its ThreadingMixIn handler
@@ -434,8 +437,8 @@ class SearchServer:
             return 200, {"active": name, "path": self.switch(name)}
 
         if path == "/api/crawler/statistics" and method == "GET":
-            from .pipelines.index_build import load_stats
             from .state import manifest
+            from .state.docstore import load_stats
 
             if self._index_dir is None:
                 return 400, {"detail": "no active snapshot"}

@@ -17,6 +17,12 @@ A predicate pushed into the parquet scan (``doc_id ∈ {...}``) cannot do this:
 doc ids are 63-bit stable hashes (``functions.hashing.stable_doc_id``), so every
 row group's min/max statistics span the whole id range, nothing is pruned, and
 each query would decompress all of ``doc_meta``.
+
+Every read here opens each listed file once with ``pyarrow.parquet``; the
+module imports neither ``pyarrow.dataset`` nor Ray, so a serving process
+(``server.SearchServer``) loads neither.  It also owns the snapshot's
+``stats.json`` (``load_stats``) and the format the readers accept
+(``SNAPSHOT_FORMAT``).
 """
 
 from __future__ import annotations
@@ -25,13 +31,36 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pa_ds
+import pyarrow.parquet as pq
 
 from ..stages.tokenize import DOC_META_SCHEMA
 from . import storage
 
 # the columns a result page needs; only these are held resident
 PAGE_COLUMNS = ("doc_id", "url", "title", "content")
+# stats.json "format": 2 = block doc_ids are doc ordinals and blocks carry
+# no doc lengths; snapshots without the field hold hashed ids + doc_lens
+SNAPSHOT_FORMAT = 2
+
+
+def load_stats(index_dir: str) -> dict:
+    """The snapshot's ``stats.json``."""
+    fs, root = storage.resolve(index_dir)
+    return storage.read_json(fs, storage.join(root, "stats.json"))
+
+
+def _doc_meta_files(index_dir: str):
+    """(filesystem, the snapshot's ``doc_meta`` files in sorted order)."""
+    fs, root = storage.resolve(index_dir)
+    return fs, storage.ls_files(fs, storage.join(root, "doc_meta"),
+                                suffix=".parquet")
+
+
+def _read_columns(fs, path: str, columns: Sequence[str]) -> pa.Table:
+    """``columns`` of one parquet file that it stores, in one open."""
+    with pq.ParquetFile(path, filesystem=fs) as f:
+        return f.read(columns=[c for c in columns
+                               if c in f.schema_arrow.names])
 
 
 def read_doc_meta(index_dir: str, columns: Sequence[str]) -> Tuple[pa.Table, np.ndarray]:
@@ -40,15 +69,13 @@ def read_doc_meta(index_dir: str, columns: Sequence[str]) -> Tuple[pa.Table, np.
     ``doc_id``.  ``columns`` must include ``doc_id``; those the snapshot
     does not store (``content`` on a ``store_content=False`` build) are
     left out.  A snapshot without ``doc_meta`` files has no rows."""
-    fs, root = storage.resolve(index_dir)
-    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
-    dataset = (pa_ds.dataset(files, format="parquet", filesystem=fs) if files
-               else pa_ds.dataset(DOC_META_SCHEMA.empty_table()))
+    fs, files = _doc_meta_files(index_dir)
+    parts = [_read_columns(fs, f, columns) for f in files]
+    empty = DOC_META_SCHEMA.empty_table()
     # one chunk per column: a take from a chunked column concatenates all
     # of its chunks first, an O(N) copy on every fetch
-    rows = dataset.to_table(
-        columns=[c for c in columns if c in dataset.schema.names]
-    ).combine_chunks()
+    rows = (pa.concat_tables(parts) if parts else empty.select(
+        [c for c in columns if c in empty.column_names])).combine_chunks()
     return rows, np.argsort(rows["doc_id"].to_numpy(), kind="stable")
 
 
@@ -68,17 +95,9 @@ def batch_ordinals(index_dir: str) -> Tuple[List[str], np.ndarray, np.ndarray]:
     each file's ascending doc ids, so file i's rank k is ordinal
     ``ordinals[offsets[i] + k]``.  Raises ValueError naming a doc id that
     two files share: both would hold one ordinal."""
-    fs, root = storage.resolve(index_dir)
-    files = storage.ls_files(fs, storage.join(root, "doc_meta"), suffix=".parquet")
-    chunks: Dict[str, list] = {f: [] for f in files}
-    if files:
-        scan = pa_ds.dataset(files, format="parquet", filesystem=fs).scanner(
-            columns=["doc_id"])
-        for tagged in scan.scan_batches():
-            chunks[tagged.fragment.path].append(
-                tagged.record_batch.column(0).to_numpy())
-    per_file = [np.sort(np.concatenate(c)) if c else np.empty(0, np.int64)
-                for c in chunks.values()]
+    fs, files = _doc_meta_files(index_dir)
+    per_file = [np.sort(_read_columns(fs, f, ["doc_id"])["doc_id"].to_numpy())
+                for f in files]
     flat = np.concatenate(per_file) if per_file else np.empty(0, np.int64)
     ids = np.sort(flat)
     dup = np.flatnonzero(ids[1:] == ids[:-1])
@@ -114,8 +133,7 @@ class DocStore:
     def __init__(self, index_dir: str, pages: bool = True):
         rows, self._order = read_doc_meta(
             index_dir, ("doc_len", *PAGE_COLUMNS) if pages else ("doc_id", "doc_len"))
-        fs, root = storage.resolve(index_dir)
-        n_docs = storage.read_json(fs, storage.join(root, "stats.json"))["n_docs"]
+        n_docs = load_stats(index_dir)["n_docs"]
         if rows.num_rows != n_docs:
             raise ValueError(
                 f"index {index_dir!r}: doc_meta holds {rows.num_rows} docs, "
