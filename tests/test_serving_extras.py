@@ -31,5 +31,6 @@ def test_quarantine_listing(ray_session, tmp_path):
     assert all(listed["failed"].to_pylist())
     ids = listed["doc_id"].to_pylist()
     assert ids == sorted(ids)
+    assert quarantine_listing(snap, limit=1).to_pylist() == listed.to_pylist()[:1]
     # failed docs still count toward N (reference counts uncrawled stubs)
     assert load_stats(snap)["n_docs"] == 4

@@ -108,9 +108,11 @@ index_dir, positional = sys.argv[1:3]
 srv = SearchServer(index_dir, mode="bm25_wand", scorer_pool_size=1)
 port = srv.serve(host="127.0.0.1", port=0)
 bodies = []
-for q in ("return", "the self value", "zzz_absent_term"):
+for path in ["/api/search?query=" + q.replace(" ", "+")
+             for q in ("return", "the self value", "zzz_absent_term")] + [
+        "/api/crawler/statistics", "/api/crawler/failed-urls"]:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    conn.request("GET", "/api/search?query=" + q.replace(" ", "+"))
+    conn.request("GET", path)
     resp = conn.getresponse()
     bodies.append((resp.status, json.loads(resp.read())))
     conn.close()
@@ -130,21 +132,23 @@ def parent(pid):
 children = [int(p) for p in os.listdir("/proc")
             if p.isdigit() and parent(p) == os.getpid()]
 print(json.dumps({
-    "modules": [m for m in ("ray", "ray.data", "pyarrow.dataset")
+    "modules": [m for m in ("ray", "ray.data", "pyarrow.dataset", "pandas")
                 if m in sys.modules],
     "children": children,
     "status": [s for s, _ in bodies],
-    "hits": [b["total_results"] for _, b in bodies],
+    "hits": [b["total_results"] for _, b in bodies[:3]],
+    "n_docs": bodies[3][1]["documents_crawled"],
+    "failed_urls": bodies[4][1]["failed_urls"],
     "reference_hits": ref["total_results"], "phrase_hits": len(phrase_ids),
 }))
 """
 
 
 def test_serving_starts_no_ray(built_index, positional_index):
-    """A fresh process without a Ray session opens snapshots and answers
-    queries over HTTP, in reference mode and by phrase: it never imports
-    Ray, Ray Data or ``pyarrow.dataset``, and leaves no child process
-    behind."""
+    """A fresh process without a Ray session opens snapshots, answers
+    queries over HTTP and the statistics and failed-urls routes, and scores
+    in reference mode and by phrase: it never imports Ray, Ray Data,
+    ``pyarrow.dataset`` or pandas, and leaves no child process behind."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("RAY_")}
     env["PYTHONPATH"] = REPO
     out = subprocess.run(
@@ -154,6 +158,7 @@ def test_serving_starts_no_ray(built_index, positional_index):
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got["modules"] == []
     assert got["children"] == []
-    assert got["status"] == [200, 200, 200]
+    assert got["status"] == [200] * 5
     assert got["hits"][0] > 0 and got["hits"][2] == 0
+    assert got["n_docs"] == 600 and got["failed_urls"] == []
     assert got["reference_hits"] > 0 and got["phrase_hits"] > 0

@@ -42,7 +42,7 @@ from ..functions.hashing import term_shard
 from ..functions.scoring import bm25_term_score, build_snippet
 from ..functions.tokenizer import TOKENIZERS
 from ..state import storage
-from ..state.docstore import SNAPSHOT_FORMAT, DocStore, load_stats
+from ..state.docstore import SNAPSHOT_FORMAT, DocStore, load_stats, string_array
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -247,7 +247,7 @@ class PostingsIndex:
                     sorted(rgs),
                     columns=["term", "block_id", "n", *self._PAYLOAD_COLS]))
         tbl = pa.concat_tables(parts)
-        return tbl.filter(pc.is_in(tbl["term"], value_set=pa.array(terms)))
+        return tbl.filter(pc.is_in(tbl["term"], value_set=string_array(terms)))
 
     def _payload(self, term: str) -> "_Blocks":
         got = self._payloads.get(term)

@@ -20,9 +20,12 @@ each query would decompress all of ``doc_meta``.
 
 Every read here opens each listed file once with ``pyarrow.parquet``; the
 module imports neither ``pyarrow.dataset`` nor Ray, so a serving process
-(``server.SearchServer``) loads neither.  It also owns the snapshot's
-``stats.json`` (``load_stats``) and the format the readers accept
-(``SNAPSHOT_FORMAT``).
+(``server.SearchServer``) loads neither.  Arrow and numpy meet only through
+buffers (``int64_view``, ``int64_array``, ``string_array``): pyarrow imports
+pandas on ``Array.to_numpy``, ``pa.array``, ``pa.scalar``,
+``Schema.empty_table`` and ``Table.take(<ndarray>)``, and serving never needs
+it.  The module also owns the snapshot's ``stats.json`` (``load_stats``) and
+the format the readers accept (``SNAPSHOT_FORMAT``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..stages.tokenize import DOC_META_SCHEMA
@@ -47,6 +51,43 @@ def load_stats(index_dir: str) -> dict:
     """The snapshot's ``stats.json``."""
     fs, root = storage.resolve(index_dir)
     return storage.read_json(fs, storage.join(root, "stats.json"))
+
+
+def int64_view(col) -> np.ndarray:
+    """A read-only numpy view of an int64 Arrow column without nulls (one
+    chunk is viewed in place, several are concatenated first).  Raises
+    TypeError on another type and ValueError on nulls."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if col.type != pa.int64():
+        raise TypeError(f"expected an int64 column, got {col.type}")
+    if col.null_count:
+        raise ValueError(f"int64 column has {col.null_count} nulls")
+    if len(col):
+        view = np.frombuffer(col.buffers()[1], dtype=np.int64,
+                             count=len(col), offset=col.offset * 8)
+    else:
+        view = np.empty(0, np.int64)
+    view.flags.writeable = False
+    return view
+
+
+def int64_array(values: np.ndarray) -> pa.Array:
+    """An int64 Arrow array over the buffer of ``values`` (copied only if it
+    is not contiguous int64)."""
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    return pa.Array.from_buffers(pa.int64(), len(values),
+                                 [None, pa.py_buffer(values)])
+
+
+def string_array(values: Sequence[str]) -> pa.Array:
+    """An Arrow string array of ``values`` (UTF-8 bytes, byte offsets)."""
+    data = [v.encode() for v in values]
+    offsets = np.zeros(len(data) + 1, np.int32)
+    np.cumsum([len(b) for b in data], out=offsets[1:])
+    return pa.Array.from_buffers(
+        pa.string(), len(data),
+        [None, pa.py_buffer(offsets), pa.py_buffer(b"".join(data))])
 
 
 def _doc_meta_files(index_dir: str):
@@ -70,13 +111,15 @@ def read_doc_meta(index_dir: str, columns: Sequence[str]) -> Tuple[pa.Table, np.
     does not store (``content`` on a ``store_content=False`` build) are
     left out.  A snapshot without ``doc_meta`` files has no rows."""
     fs, files = _doc_meta_files(index_dir)
-    parts = [_read_columns(fs, f, columns) for f in files]
-    empty = DOC_META_SCHEMA.empty_table()
+    if files:
+        rows = pa.concat_tables([_read_columns(fs, f, columns) for f in files])
+    else:
+        rows = pa.Table.from_batches([], DOC_META_SCHEMA)
+        rows = rows.select([c for c in columns if c in rows.column_names])
     # one chunk per column: a take from a chunked column concatenates all
     # of its chunks first, an O(N) copy on every fetch
-    rows = (pa.concat_tables(parts) if parts else empty.select(
-        [c for c in columns if c in empty.column_names])).combine_chunks()
-    return rows, np.argsort(rows["doc_id"].to_numpy(), kind="stable")
+    rows = rows.combine_chunks()
+    return rows, np.argsort(int64_view(rows["doc_id"]), kind="stable")
 
 
 def find_ordinals(sorted_ids: np.ndarray, doc_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,7 +139,7 @@ def batch_ordinals(index_dir: str) -> Tuple[List[str], np.ndarray, np.ndarray]:
     ``ordinals[offsets[i] + k]``.  Raises ValueError naming a doc id that
     two files share: both would hold one ordinal."""
     fs, files = _doc_meta_files(index_dir)
-    per_file = [np.sort(_read_columns(fs, f, ["doc_id"])["doc_id"].to_numpy())
+    per_file = [np.sort(int64_view(_read_columns(fs, f, ["doc_id"])["doc_id"]))
                 for f in files]
     flat = np.concatenate(per_file) if per_file else np.empty(0, np.int64)
     ids = np.sort(flat)
@@ -116,8 +159,9 @@ def quarantine_listing(index_dir: str, limit: int = 1000):
     lists failed URLs ordered, limit 1000): doc_meta rows flagged failed
     (null content at ingest), in doc_id order, bounded."""
     rows, order = read_doc_meta(index_dir, ("doc_id", "url", "title", "failed"))
-    failed = order[rows["failed"].to_numpy()[order]]
-    return rows.take(failed[:limit])
+    order = int64_array(order)
+    failed = pc.indices_nonzero(rows["failed"].take(order))[:limit]
+    return rows.take(order.take(failed))
 
 
 class DocStore:
@@ -139,8 +183,8 @@ class DocStore:
                 f"index {index_dir!r}: doc_meta holds {rows.num_rows} docs, "
                 f"stats.json counts {n_docs}; the snapshot is inconsistent"
             )
-        self.ids = rows["doc_id"].to_numpy()[self._order]
-        self.lens = rows["doc_len"].to_numpy()[self._order]
+        self.ids = int64_view(rows["doc_id"])[self._order]
+        self.lens = int64_view(rows["doc_len"])[self._order]
         self._table = rows.drop_columns(["doc_len"])
         # content is optional in the store (EngineConfig.store_content=False
         # at lake scale); callers get rows without it and degrade gracefully
@@ -154,5 +198,6 @@ class DocStore:
         cols = [c for c in columns if c not in self._absent]
         want = np.unique(np.fromiter(doc_ids, dtype=np.int64))
         ords, found = find_ordinals(self.ids, want)
-        rows = self._table.select(cols).take(self._order[ords[found]])
+        rows = self._table.select(cols).take(
+            int64_array(self._order[ords[found]]))
         return dict(zip(want[found].tolist(), rows.to_pylist()))
