@@ -29,12 +29,11 @@ def to_hashed_id_runs(snap: str) -> None:
             if tbl.num_rows == 0:
                 continue
             ns = tbl["n"].to_numpy().astype(np.int64)
-            ranks, tfs = codecs.decode_postings(
-                tbl["ids_enc"].to_pylist(), tbl["tfs_enc"].to_pylist(), ns)
+            ranks, tfs = codecs.decode_postings(tbl["ids_enc"], tbl["tfs_enc"], ns)
             starts = np.concatenate(([0], np.cumsum(ns)[:-1]))
             ids_enc, _, _ = codecs.encode_postings(ids[ranks], tfs, starts)
             tbl = tbl.set_column(tbl.schema.get_field_index("ids_enc"), "ids_enc",
-                                 pa.array(ids_enc, pa.large_binary()))
+                                 ids_enc)
             tbl = tbl.add_column(3, "tf_sum", pa.array(
                 np.add.reduceat(tfs.astype(np.int64), starts), pa.int64()))
             for key in sorted(set(tbl["merge_key"].to_pylist())):

@@ -380,8 +380,9 @@ def test_merge_rejects_mixed_positional_runs_and_passes_empty_groups():
          _merge_run("t", [5], positional=True)],
         schema=_merge_schema(),
     )
-    (positions,) = merge(both, ordinals, offsets)["positions"].to_pylist()
-    assert [p.tolist() for p in codecs.decode_positions([positions], [1, 1, 1])] == [
+    positions = merge(both, ordinals, offsets)["positions"]
+    assert len(positions) == 1
+    assert [p.tolist() for p in codecs.decode_positions(positions, [1, 1, 1])] == [
         [0], [0], [0]]
     assert merge(_merge_schema().empty_table(), ordinals, offsets).equals(
         BLOCK_SCHEMA.empty_table())

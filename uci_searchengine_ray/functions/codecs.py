@@ -27,20 +27,26 @@ stream, so many segments decode in one pass.
 Both encode and decode are numpy-vectorized (no per-integer Python loop): the
 encoder fills byte columns position-by-position (≤10 positions for uint64); the
 decoder uses reduceat over terminator-delimited groups.
+
+Payload columns stay ``large_binary`` Arrow arrays end to end, with no
+``bytes`` object per run or block: ``encode_postings`` builds each column over
+its one encoded byte buffer and the segments' cut offsets, and the decoders
+read a column's value buffer between its first and last offset.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 
 def varbyte_encode(values: np.ndarray) -> bytes:
     """Encode a 1-D array of non-negative integers (< 2**63) to VByte bytes."""
-    return varbyte_encode_segments(values, [0])[0]
+    return _varbyte_bytes(values)[0].tobytes()
 
 
-def varbyte_decode(data: bytes) -> np.ndarray:
-    """Decode VByte bytes back to a uint64 array.
+def varbyte_decode(data) -> np.ndarray:
+    """Decode VByte bytes (or a uint8 array of them) back to a uint64 array.
 
     Raises ``ValueError`` on a truncated stream (final byte lacks the
     terminator bit) — a corrupt index file must fail loudly, not decode to
@@ -63,23 +69,12 @@ def varbyte_decode(data: bytes) -> np.ndarray:
     return np.add.reduceat(weighted, starts)
 
 
-def varbyte_encode_segments(
-    values: np.ndarray, seg_starts: np.ndarray
-) -> list:
-    """One vectorized VByte pass over a CONCATENATION of segments, returning
-    one ``bytes`` per segment — byte-identical to calling ``varbyte_encode``
-    per segment, but with the numpy call overhead paid once for the whole
-    batch instead of once per (tiny) run.  ``seg_starts`` are the segment
-    start indices (first must be 0); the last segment ends at ``len(values)``.
-
-    Motivation: phase-1 run encoding calls the codec ~30k times per 2k-doc
-    batch on arrays of 1-5 values; per-call overhead was 65% of the whole
-    tokenize stage (profiled) — this batches it away.
-    """
+def _varbyte_bytes(values) -> tuple:
+    """(VByte bytes of ``values`` as one uint8 array, each value's start
+    offset in it): one vectorized pass, no per-value Python."""
     v = np.asarray(values, dtype=np.uint64)
-    seg_starts = np.asarray(seg_starts, dtype=np.int64)
     if v.size == 0:
-        return [b""] * len(seg_starts)
+        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
     if int(v.max()) >= (1 << 63):
         raise ValueError("varbyte_encode: values must be < 2**63")
     # number of 7-bit groups per value (at least 1)
@@ -90,7 +85,7 @@ def varbyte_encode_segments(
         tmp >>= np.uint64(7)
     out = np.empty(int(nbytes.sum()), dtype=np.uint8)
     # start offset of each value's byte run
-    starts = np.concatenate(([0], np.cumsum(nbytes)[:-1]))
+    starts = _exclusive_cumsum(nbytes)
     rem = v.copy()
     for pos in range(int(nbytes.max())):
         mask = nbytes > pos
@@ -99,11 +94,35 @@ def varbyte_encode_segments(
         is_last = (nbytes[mask] == pos + 1).astype(np.uint8) << 7
         out[idx] = payload | is_last
         rem[mask] >>= np.uint64(7)
-    blob = out.tobytes()
-    byte_cuts = np.concatenate((starts[seg_starts], [out.size]))
-    return [
-        blob[byte_cuts[i] : byte_cuts[i + 1]] for i in range(len(seg_starts))
-    ]
+    return out, starts
+
+
+def varbyte_encode_segments(values: np.ndarray, seg_starts) -> pa.Array:
+    """One vectorized VByte pass over a CONCATENATION of segments, returning
+    a ``large_binary`` Arrow array of one value per segment — each value
+    byte-identical to ``varbyte_encode`` of that segment, with the numpy
+    call overhead paid once for the whole batch instead of once per (tiny)
+    run.  The array is built over the encoded bytes and their cut offsets
+    (no ``bytes`` object per segment).  ``seg_starts`` are the segment
+    start indices (first must be 0); the last segment ends at
+    ``len(values)``.
+
+    Motivation: phase-1 run encoding calls the codec ~30k times per 2k-doc
+    batch on arrays of 1-5 values; per-call overhead was 65% of the whole
+    tokenize stage (profiled) — this batches it away.
+    """
+    out, starts = _varbyte_bytes(values)
+    byte_cuts = np.append(starts, out.size)
+    return _binary_array(out, np.append(
+        byte_cuts[np.asarray(seg_starts, dtype=np.int64)], out.size))
+
+
+def _binary_array(data: np.ndarray, cuts: np.ndarray) -> pa.Array:
+    """A ``large_binary`` array over the buffer of ``data`` whose value i
+    is ``data[cuts[i]:cuts[i + 1]]``."""
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(cuts) - 1,
+        [None, pa.py_buffer(cuts), pa.py_buffer(data)])
 
 
 def delta_encode_segments(
@@ -137,13 +156,39 @@ def delta_decode(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(deltas, dtype=np.uint64)).astype(np.int64)
 
 
+def _value_bytes(blobs) -> np.ndarray:
+    """The values of a ``large_binary`` Arrow array, concatenated: a uint8
+    view of its value buffer between its first and last offset (a sliced
+    array's offset is honoured), copied only to join the chunks of a
+    ``ChunkedArray``."""
+    if isinstance(blobs, pa.ChunkedArray):
+        parts = [_value_bytes(c) for c in blobs.chunks]
+        return parts[0] if len(parts) == 1 else np.concatenate(
+            [np.empty(0, np.uint8), *parts])
+    if blobs.type != pa.large_binary():
+        raise TypeError(
+            f"expected a large_binary Arrow array, got {blobs.type}")
+    if blobs.null_count:
+        raise ValueError(f"payload column has {blobs.null_count} nulls")
+    if len(blobs) == 0:
+        return np.empty(0, np.uint8)
+    _, offsets, data = blobs.buffers()
+    offsets = np.frombuffer(offsets, dtype=np.int64, count=len(blobs) + 1,
+                            offset=blobs.offset * 8)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    if hi == lo:
+        return np.empty(0, np.uint8)
+    return np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+
+
 def varbyte_decode_concat(blobs, counts: np.ndarray) -> np.ndarray:
-    """Decode MANY varbyte blobs in one pass (terminator convention makes the
-    concatenation decodable as a single stream).  ``counts`` is unused for
+    """Decode MANY varbyte blobs — the values of a ``large_binary`` Arrow
+    array — in one pass over its value buffer (terminator convention makes
+    the concatenation decodable as a single stream).  ``counts`` is unused for
     decoding (values self-delimit) but validates the result length — the
     decode-side twin of ``varbyte_encode_segments``: per-run or per-block
     decode calls cost more in numpy call overhead than in bytes."""
-    vals = varbyte_decode(b"".join(blobs))
+    vals = varbyte_decode(_value_bytes(blobs))
     expect = int(np.asarray(counts).sum())
     if len(vals) != expect:
         raise ValueError(f"decoded {len(vals)} values, expected {expect}")
@@ -176,17 +221,19 @@ def _exclusive_cumsum(counts) -> np.ndarray:
 
 def encode_postings(ids, tfs, starts, pos_deltas=None):
     """Postings sorted by (segment, id) → one (ids, tfs, positions) blob per
-    segment, as three lists.  ``starts`` are the segment start indices
-    (the first is 0): phase 1 passes its run starts, phase 2 its block
-    starts.  ``pos_deltas`` holds ``tfs[i]`` values per posting (see
-    ``position_deltas``); without it every positions blob is empty.
+    segment, as three ``large_binary`` Arrow arrays.  ``starts`` are the
+    segment start indices (the first is 0): phase 1 passes its run starts,
+    phase 2 its block starts.  ``pos_deltas`` holds ``tfs[i]`` values per
+    posting (see ``position_deltas``); without it every positions blob is
+    empty.
     Byte-identical to ``encode_ids`` / ``encode_plain`` per segment, with
     the numpy call overhead paid once for the whole batch."""
     starts = np.asarray(starts, dtype=np.int64)
     ids_blobs = varbyte_encode_segments(delta_encode_segments(ids, starts), starts)
     tfs_blobs = varbyte_encode_segments(tfs, starts)
     if pos_deltas is None:
-        pos_blobs = [b""] * len(starts)
+        pos_blobs = _binary_array(np.empty(0, np.uint8),
+                                  np.zeros(len(starts) + 1, dtype=np.int64))
     else:
         pos_blobs = varbyte_encode_segments(
             pos_deltas, _exclusive_cumsum(tfs)[starts]
@@ -196,10 +243,11 @@ def encode_postings(ids, tfs, starts, pos_deltas=None):
 
 def decode_postings(ids_blobs, tfs_blobs, counts):
     """(ids, tfs) of consecutive segments of ``counts[i]`` postings each,
-    concatenated: one varbyte pass per column over the joined blobs, then
-    one delta pass with a reset at each segment start.  A truncated stream
-    or a ``counts`` sum that does not match the decoded length raises
-    ``ValueError``."""
+    concatenated, from the segments' blobs as ``large_binary`` Arrow arrays
+    (or ``ChunkedArray``s): one varbyte pass per column over the value
+    buffer, then one delta pass with a reset at each segment start.  A
+    truncated stream or a ``counts`` sum that does not match the decoded
+    length raises ``ValueError``."""
     counts = np.asarray(counts, dtype=np.int64)
     ids = delta_decode_segments(
         varbyte_decode_concat(ids_blobs, counts), _exclusive_cumsum(counts)
@@ -215,8 +263,9 @@ def position_deltas(positions: np.ndarray, tfs: np.ndarray) -> np.ndarray:
 
 
 def decode_position_deltas(pos_blobs, tfs: np.ndarray) -> np.ndarray:
-    """The flat per-posting position deltas of joined positions blobs whose
-    postings have term frequencies ``tfs`` (one varbyte pass)."""
+    """The flat per-posting position deltas of the positions blobs (a
+    ``large_binary`` Arrow array) whose postings have term frequencies
+    ``tfs`` (one varbyte pass)."""
     return varbyte_decode_concat(pos_blobs, tfs)
 
 

@@ -42,7 +42,8 @@ from ..functions.hashing import term_shard
 from ..functions.scoring import bm25_term_score, build_snippet
 from ..functions.tokenizer import TOKENIZERS
 from ..state import storage
-from ..state.docstore import SNAPSHOT_FORMAT, DocStore, load_stats, string_array
+from ..state.docstore import (
+    SNAPSHOT_FORMAT, DocStore, int64_array, int64_view, load_stats, string_array)
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -80,12 +81,13 @@ class _LRU(OrderedDict):
 
 class _Blocks(NamedTuple):
     """One term's encoded blocks in block order: each block's posting count
-    and its three payload blobs (``functions.codecs`` decodes them)."""
+    and its three payload columns, Arrow binary arrays compacted to this
+    term's blocks (``functions.codecs`` decodes them)."""
 
     n: np.ndarray
-    doc_ids: List[bytes]
-    tfs: List[bytes]
-    positions: List[bytes]
+    doc_ids: pa.Array
+    tfs: pa.Array
+    positions: pa.Array
 
 
 class PostingsIndex:
@@ -222,14 +224,18 @@ class PostingsIndex:
             return
         tbl = self._read_terms(missing)
         by_term: Dict[str, list] = {t: [] for t in missing}
-        for row in zip(*(tbl[c].to_pylist() for c in tbl.column_names)):
-            by_term[row[0]].append(row[1:])
+        for row, (t, block_id) in enumerate(zip(tbl["term"].to_pylist(),
+                                                tbl["block_id"].to_pylist())):
+            by_term[t].append((block_id, row))
         for t, rows in by_term.items():
-            rows.sort(key=lambda r: r[0])
-            _, ns, *blobs = zip(*rows)
-            blocks = _Blocks(np.array(ns, dtype=np.int64), *map(list, blobs))
+            # a take copies the term's blocks into buffers of their own, so
+            # a cache entry pins no other term's bytes
+            part = tbl.take(int64_array([row for _, row in sorted(rows)]))
+            blocks = _Blocks(
+                np.array(part["n"].to_pylist(), dtype=np.int64),
+                *(part[c].combine_chunks() for c in self._PAYLOAD_COLS))
             self._payloads.put(t, blocks, blocks.n.nbytes + sum(
-                len(b) for c in blobs for b in c))
+                a.nbytes for a in blocks[1:]))
         self._evict()
 
     def _read_terms(self, terms: Sequence[str]) -> pa.Table:
@@ -261,15 +267,16 @@ class PostingsIndex:
     def decode_block(self, term: str, block_idx: int):
         """(doc ordinals, tfs) of one block of ``term``."""
         b = self._payload(term)
-        i = slice(block_idx, block_idx + 1)
         self.blocks_decoded += 1
-        return codecs.decode_postings(b.doc_ids[i], b.tfs[i], b.n[i])
+        return codecs.decode_postings(b.doc_ids.slice(block_idx, 1),
+                                      b.tfs.slice(block_idx, 1),
+                                      b.n[block_idx:block_idx + 1])
 
     def positions(self, term: str) -> List[np.ndarray]:
         """Per-posting absolute token positions for a term (requires an index
         built with store_positions=True), aligned with ``postings(term)``."""
         b = self._payload(term)
-        if not all(b.positions):
+        if not int64_view(pc.binary_length(b.positions)).all():
             raise ValueError(
                 f"index has no positional payload for term {term!r} "
                 "(build with EngineConfig(store_positions=True))"

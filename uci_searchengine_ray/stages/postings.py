@@ -6,8 +6,11 @@ delta+varbyte-compressed posting blocks in two stages:
 
   phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
       corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
-      (term, doc) pair is unique afterwards), then sort (term, doc) within
-      the batch and emit one compressed *run* row per term per batch.  A
+      (term, doc) pair is unique afterwards), then sort the postings by
+      (term, doc) within the batch and emit one compressed *run* row per
+      term per batch.  The sort is over integers: the batch's terms are
+      dictionary-encoded, the distinct terms sorted once, and a posting
+      sorts by its term's rank (an order-preserving code).  A
       run names each doc by its *rank* among the batch's ascending doc ids,
       so its gaps are small (a doc's token length goes to its doc-meta row
       only).  Fusing tokenize→explode→encode in one stage means raw
@@ -21,8 +24,10 @@ delta+varbyte-compressed posting blocks in two stages:
 
   phase 2 — each merge task takes one key range, reads it from every runs
       file in one filtered scan (the statistics prune the other row
-      groups) and makes one ``merge_shard`` call per key: per term, the
-      runs (disjoint doc sets) are decoded, their batch ranks mapped to
+      groups) and makes one ``merge_shard`` call per key: the runs are put
+      in term order by a stable Arrow sort of the term column, their
+      payload columns decoded in one pass per column (disjoint doc sets
+      per term), their batch ranks mapped to
       doc *ordinals* (rank in the snapshot's ascending doc_meta ids, as
       ``state.docstore.batch_ordinals`` defines them), merge-sorted and
       re-encoded into fixed-size blocks with df; many terms merge in one
@@ -36,7 +41,9 @@ A block holds the ordinals, tfs and, optionally, the positions of up to
 ``block_size`` postings; scorers read doc lengths by ordinal from the doc
 table.  ``functions.codecs`` alone knows how run and block payloads are
 encoded: both phases call its ``encode_postings`` and the merge its
-``decode_postings``, never a varbyte or delta primitive.
+``decode_postings``, never a varbyte or delta primitive, and payloads stay
+Arrow binary arrays from encode to decode (no ``bytes`` object per run or
+block).
 ``build_index`` adds each block row's ``merge_key`` and writes one postings
 file per merge task, one row group per key, so the query side prunes a
 term's read to its key's row groups.
@@ -49,6 +56,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import codecs
 from ..functions.hashing import term_shard
@@ -101,15 +109,32 @@ def key_ranges(n_keys: int, n_tasks: int) -> List[Tuple[int, int]]:
             for part in np.array_split(np.arange(n_keys), n_tasks) if len(part)]
 
 
+def _starts(lens: np.ndarray) -> np.ndarray:
+    """Start index of each segment of the given lengths."""
+    lens = np.asarray(lens, dtype=np.int64)
+    return np.cumsum(lens) - lens
+
+
+def _permute_segments(flat: np.ndarray, lens: np.ndarray,
+                      order: np.ndarray) -> np.ndarray:
+    """``flat`` cut into segments of ``lens``, the segments put in
+    ``order``: one gather index, no per-segment slice."""
+    lens_o = lens[order]
+    gather = (np.repeat(_starts(lens)[order] - _starts(lens_o), lens_o)
+              + np.arange(len(flat), dtype=np.int64))
+    return flat[gather]
+
+
 class TokenizeEncodeRuns:
     """Fused tokenize → per-doc TF → per-(term, batch) compressed run stage.
 
     A picklable callable run as stateless Ray Data tasks; the tokenizer's
     compiled regexes are module-level.  Per batch, all per-posting work is
-    numpy; the only per-item Python is the regex findall per document and
-    one slice per distinct term in the batch.  Each call writes the batch's
-    doc-meta and runs files into ``meta_dir`` and ``runs_dir`` on ``fs``
-    (a picklable ``pyarrow.fs`` handle) and returns its summary row.
+    numpy or Arrow over integer term codes, never a sort of strings; the
+    per-item Python is the tokenize and TF count per document and the
+    merge-key hash per distinct term in the batch.  Each call writes the
+    batch's doc-meta and runs files into ``meta_dir`` and ``runs_dir`` on
+    ``fs`` (a picklable ``pyarrow.fs`` handle) and returns its summary row.
     """
 
     def __init__(
@@ -134,7 +159,7 @@ class TokenizeEncodeRuns:
         self._store_positions = store_positions
         self._store_content = store_content
 
-    def _write_meta(self, batch: pa.Table, doc_lens, stem: str) -> None:
+    def _write_meta(self, batch: pa.Table, doc_ids, doc_lens, stem: str) -> None:
         """Fused doc-meta output: one parquet file per batch, written from
         inside the tokenize task so the corpus is read ONCE for both outputs.
         The file name is a deterministic function of the batch content
@@ -144,7 +169,7 @@ class TokenizeEncodeRuns:
         store."""
         from .tokenize import doc_meta_batch
 
-        meta = doc_meta_batch(batch, doc_lens=doc_lens)
+        meta = doc_meta_batch(batch, doc_lens=doc_lens, doc_ids=doc_ids)
         if not self._store_content:
             meta = meta.drop_columns(["content"])
         # zstd: the content column dominates the bytes; phase 1 at high
@@ -176,7 +201,8 @@ class TokenizeEncodeRuns:
 
         terms: List[str] = []
         post_tf: List[int] = []
-        post_pos: List[np.ndarray] = []  # per-posting token positions
+        # per doc, its postings' token positions in posting order
+        post_pos: List[np.ndarray] = []
         used_doc: List[int] = []  # docs that produced postings…
         used_n: List[int] = []  # …their distinct-term counts (np.repeat)
         doc_lens_out: List[int] = []  # per input row, for the meta sidecar
@@ -203,10 +229,7 @@ class TokenizeEncodeRuns:
                 t_ends = np.concatenate((t_brk, [len(arr)]))
                 terms.extend(s_toks[t_starts])
                 post_tf.extend((t_ends - t_starts).tolist())
-                pos64 = t_order.astype(np.int64, copy=False)
-                post_pos.extend(
-                    pos64[lo:hi] for lo, hi in zip(t_starts, t_ends)
-                )
+                post_pos.append(t_order.astype(np.int64, copy=False))
                 n_terms = len(t_starts)
             else:
                 freq = Counter(toks)
@@ -217,7 +240,7 @@ class TokenizeEncodeRuns:
             used_n.append(n_terms)
 
         stem = f"{doc_ids[0]}-{len(doc_ids)}"
-        self._write_meta(batch, doc_lens_out, stem)
+        self._write_meta(batch, doc_ids, doc_lens_out, stem)
         runs = self._encode_runs(
             uniq, terms, post_tf, post_pos, used_doc, used_n)
         mk = runs["merge_key"].to_numpy()
@@ -238,41 +261,44 @@ class TokenizeEncodeRuns:
         one row per distinct term, its docs as ranks in ``sorted_ids``."""
         if not terms:
             return RUN_SCHEMA.empty_table()
-        term_arr = np.asarray(terms, dtype=object)
-        reps = np.asarray(used_n, dtype=np.int64)
-        rank_arr = np.repeat(np.searchsorted(sorted_ids, used_doc), reps)
-        tf_arr = np.asarray(post_tf, dtype=np.int64)
-        order = np.lexsort((rank_arr, term_arr))
-        term_arr, rank_arr, tf_arr = term_arr[order], rank_arr[order], tf_arr[order]
+        # dictionary-encode the terms and sort the distinct ones once (UTF-8
+        # byte order is str order): a posting's term is then its integer
+        # rank, and run i is the term of rank i.  large_string: a batch's
+        # term bytes may pass the 2 GiB a string array's offsets hold
+        codes = pa.array(terms, pa.large_string()).dictionary_encode()
+        by_term = pc.sort_indices(codes.dictionary).to_numpy()
+        run_terms = codes.dictionary.take(by_term).cast(pa.string())
+        rank_of_code = np.empty(len(by_term), dtype=np.int64)
+        rank_of_code[by_term] = np.arange(len(by_term))
+        term_rank = rank_of_code[codes.indices.to_numpy()]
+        doc_rank = np.repeat(np.searchsorted(sorted_ids, used_doc),
+                             np.asarray(used_n, dtype=np.int64))
+        tfs = np.asarray(post_tf, dtype=np.int64)
+        order = np.lexsort((doc_rank, term_rank))
+        n = np.bincount(term_rank, minlength=len(by_term))
+        pos_deltas = None
         if self._store_positions:
-            post_pos = [post_pos[j] for j in order]
-        # run boundaries: starts of each distinct term
-        brk = np.flatnonzero(term_arr[1:] != term_arr[:-1]) + 1
-        starts = np.concatenate(([0], brk, [len(term_arr)]))
-        seg_starts = starts[:-1]
-        # a posting's tf is its count of positions
-        pos_deltas = (
-            codecs.position_deltas(np.concatenate(post_pos), tf_arr)
-            if self._store_positions else None
-        )
+            # a posting's tf is its count of positions
+            pos_deltas = codecs.position_deltas(
+                _permute_segments(np.concatenate(post_pos), tfs, order),
+                tfs[order])
         # ONE vectorized encode pass per payload column, split at run
         # boundaries — byte-identical to per-run encoding but without ~3
         # numpy codec calls per tiny run (65% of stage time, profiled)
         ids_enc, tfs_enc, pos_enc = codecs.encode_postings(
-            rank_arr, tf_arr, seg_starts, pos_deltas
+            doc_rank[order], tfs[order], _starts(n), pos_deltas
         )
-        run_terms = term_arr[seg_starts]
         merge_keys = np.fromiter(
-            (term_shard(t, self._num_merge_keys) for t in run_terms),
+            (term_shard(t, self._num_merge_keys) for t in run_terms.to_pylist()),
             dtype=np.int32, count=len(run_terms))
         runs = pa.table(
             {
-                "term": pa.array(run_terms, pa.string()),
+                "term": run_terms,
                 "merge_key": pa.array(merge_keys, pa.int32()),
-                "n": pa.array(np.diff(starts).astype(np.int32), pa.int32()),
-                "ids_enc": pa.array(ids_enc, pa.large_binary()),
-                "tfs_enc": pa.array(tfs_enc, pa.large_binary()),
-                "pos_enc": pa.array(pos_enc, pa.large_binary()),
+                "n": pa.array(n.astype(np.int32), pa.int32()),
+                "ids_enc": ids_enc,
+                "tfs_enc": tfs_enc,
+                "pos_enc": pos_enc,
             },
             schema=RUN_SCHEMA,
         )
@@ -303,9 +329,8 @@ def make_merge_shard(
         order (one np.repeat-built gather index)."""
         if group.num_rows == 0:
             return BLOCK_SCHEMA.empty_table()
-        pos_enc = group["pos_enc"].to_pylist()
-        positional = [len(p) > 0 for p in pos_enc]
-        if any(positional) and not all(positional):
+        positional = pc.binary_length(group["pos_enc"]).to_numpy() > 0
+        if positional.any() and not positional.all():
             # a block whose position payload covers only SOME postings
             # would be silently mis-split by the query side (positions are
             # cut at cumsum(tf) boundaries), so this state is a build-config
@@ -319,18 +344,17 @@ def make_merge_shard(
                 "store_positions"
             )
 
-        terms = np.asarray(group["term"].to_pylist(), dtype=object)
-        run_order = np.argsort(terms, kind="stable")
-        terms_o = terms[run_order]
-        ns_o = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)[run_order]
-        ids_enc = group["ids_enc"].to_pylist()
-        tfs_enc = group["tfs_enc"].to_pylist()
+        # runs in term order: a stable sort (UTF-8 byte order is str
+        # order), then the payload columns taken into it and decoded in
+        # one pass over their value buffers
+        run_order = pc.sort_indices(group["term"])
+        group = group.take(run_order)
+        terms_o = group["term"].combine_chunks()
+        ns_o = group["n"].to_numpy().astype(np.int64)
         ranks, tfs_pre = codecs.decode_postings(
-            [ids_enc[j] for j in run_order], [tfs_enc[j] for j in run_order], ns_o
-        )
+            group["ids_enc"], group["tfs_enc"], ns_o)
         offsets = np.asarray(offsets, dtype=np.int64)
-        batch = np.repeat(
-            group["batch"].to_numpy(zero_copy_only=False)[run_order], ns_o)
+        batch = np.repeat(group["batch"].to_numpy(), ns_o)
         sizes = np.diff(offsets)[batch]
         past = np.flatnonzero(ranks >= sizes)
         if len(past):
@@ -343,8 +367,9 @@ def make_merge_shard(
         ords = np.asarray(ordinals)[offsets[batch] + ranks]
 
         # distinct terms (runs are term-sorted): per-term posting segments
-        t_brk = np.flatnonzero(terms_o[1:] != terms_o[:-1]) + 1
-        uniq_terms = terms_o[np.concatenate(([0], t_brk))]
+        t_brk = np.flatnonzero(pc.not_equal(
+            terms_o[1:], terms_o[:-1]).to_numpy(zero_copy_only=False)) + 1
+        uniq_terms = terms_o.take(np.concatenate(([0], t_brk)))
         run_term_rank = np.zeros(len(terms_o), dtype=np.int64)
         run_term_rank[t_brk] = 1
         run_term_rank = np.cumsum(run_term_rank)             # per run
@@ -354,7 +379,7 @@ def make_merge_shard(
         ords, tfs_all = ords[o], tfs_pre[o]
 
         seg_lens = np.bincount(post_term_rank, minlength=len(uniq_terms)).astype(np.int64)
-        seg_starts = np.concatenate(([0], np.cumsum(seg_lens)[:-1]))
+        seg_starts = _starts(seg_lens)
 
         # duplicate-doc_id detection must be WITHIN-term and must not lean on
         # the encoder: its ascending check resets at every block start, so
@@ -373,8 +398,8 @@ def make_merge_shard(
             i = int(dup[0])
             raise ValueError(
                 f"duplicate doc ordinal {int(ords[i + 1])} in postings of "
-                f"term {uniq_terms[int(ptr_sorted[i])]!r}: two runs of the "
-                "term name the same doc"
+                f"term {uniq_terms[int(ptr_sorted[i])].as_py()!r}: two runs "
+                "of the term name the same doc"
             )
 
         # blocks per term; df per term is its segment length, since a
@@ -382,9 +407,7 @@ def make_merge_shard(
         nb = (seg_lens + block_size - 1) // block_size
         total_blocks = int(nb.sum())
         term_of_block = np.repeat(np.arange(len(uniq_terms)), nb)
-        blk_within = np.arange(total_blocks) - np.repeat(
-            np.concatenate(([0], np.cumsum(nb)[:-1])), nb
-        )
+        blk_within = np.arange(total_blocks) - np.repeat(_starts(nb), nb)
         blk_starts = seg_starts[term_of_block] + blk_within * block_size
         blk_ends = np.minimum(
             blk_starts + block_size,
@@ -394,17 +417,10 @@ def make_merge_shard(
         pos_deltas = None
         if positional[0]:
             # every run's flat delta stream at once, per-posting segments
-            # permuted into sorted order via a gather index
-            pos_flat = codecs.decode_position_deltas(
-                [pos_enc[j] for j in run_order], tfs_pre
-            )
-            pre_off = np.concatenate(([0], np.cumsum(tfs_pre)[:-1]))
-            out_off = np.concatenate(([0], np.cumsum(tfs_all)[:-1]))
-            gather = (
-                np.repeat(pre_off[o] - out_off, tfs_all)
-                + np.arange(len(pos_flat), dtype=np.int64)
-            )
-            pos_deltas = pos_flat[gather]
+            # permuted into sorted order
+            pos_deltas = _permute_segments(
+                codecs.decode_position_deltas(group["pos_enc"], tfs_pre),
+                tfs_pre, o)
 
         # (duplicates were rejected above; the codec's own ascending check
         # remains as a backstop for non-block-boundary corruption)
@@ -413,13 +429,13 @@ def make_merge_shard(
         )
         return pa.table(
             {
-                "term": pa.array(uniq_terms[term_of_block], pa.string()),
+                "term": uniq_terms.take(term_of_block),
                 "df": pa.array(seg_lens[term_of_block], pa.int64()),
                 "block_id": pa.array(blk_within.astype(np.int32), pa.int32()),
                 "n": pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32()),
-                "doc_ids": pa.array(ids_b, pa.large_binary()),
-                "tfs": pa.array(tfs_b, pa.large_binary()),
-                "positions": pa.array(pos_b, pa.large_binary()),
+                "doc_ids": ids_b,
+                "tfs": tfs_b,
+                "positions": pos_b,
             },
             schema=BLOCK_SCHEMA,
         )

@@ -14,8 +14,9 @@ batch transforms over zero-copy Arrow:
     reference's document upsert fields (crawler.py:209-237: url, title,
     content) plus the sha256 invariant (input_hint).  The index build passes
     the token lengths it already counted, so content is tokenized exactly
-    once per document; the ``doc_len`` column is the one copy of a doc's
-    length, which the scorers read by doc ordinal.
+    once per document, and the doc ids it already computed; the ``doc_len``
+    column is the one copy of a doc's length, which the scorers read by doc
+    ordinal.
 
 Empty/punctuation-only docs produce zero postings but still get a doc-meta row
 (N counts them, matching reference search.py:85 which counts uncrawled stubs).
@@ -121,8 +122,9 @@ class TokenizeExplode:
         )
 
 
-def doc_meta_batch(batch: pa.Table, doc_lens=None) -> pa.Table:
-    doc_ids = _batch_doc_ids(batch)
+def doc_meta_batch(batch: pa.Table, doc_lens=None, doc_ids=None) -> pa.Table:
+    if doc_ids is None:  # standalone use: the ids the batch implies
+        doc_ids = _batch_doc_ids(batch)
     contents = batch["content"].to_pylist()
     if doc_lens is None:  # standalone use: reference-mode token count
         from ..functions.tokenizer import TOKENIZERS
