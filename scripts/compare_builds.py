@@ -4,9 +4,11 @@ Builds one corpus with each checkout's ``build_index`` (each in its own
 process with its own local Ray, the checkout first on ``PYTHONPATH``),
 then checks that the two snapshots hold the same index: ``postings/`` rows
 sorted by (term, block_id), ``doc_meta`` rows sorted by doc_id and
-``stats.json``.
+``stats.json``, and that ``doc_meta/``, ``runs/`` and ``postings/`` hold the
+same files with the same bytes (sha256 per relative path).
 It also prints each snapshot's files and bytes per top-level directory.
-Exits 1 when a table differs.
+Exits 1 when a table or a file differs.  ``--parent X --change X`` builds
+one checkout twice, a check that its builds are deterministic.
 
 Usage:
   python scripts/compare_builds.py --parent OLD_CHECKOUT --change NEW_CHECKOUT \\
@@ -21,6 +23,8 @@ generator); ``--synthetic`` uses ``sources.corpus.write_synthetic_corpus``.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -62,6 +66,18 @@ def _rows(index: str, sub: str, keys) -> pa.Table:
     tbl = pa_ds.dataset(os.path.join(index, sub), format="parquet").to_table()
     return tbl.sort_by([(k, "ascending") for k in keys]).select(
         sorted(tbl.column_names)).combine_chunks()
+
+
+def _digests(index: str, sub: str) -> list:
+    """Sorted (relative path, sha256) of every file under ``index/sub``."""
+    out = []
+    for d, _, files in os.walk(os.path.join(index, sub)):
+        for f in files:
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                out.append((os.path.relpath(path, index),
+                            hashlib.sha256(fh.read()).hexdigest()))
+    return sorted(out)
 
 
 def _layout(index: str) -> dict:
@@ -121,6 +137,14 @@ def main() -> int:
     same = stats["parent"] == stats["change"]
     ok &= same
     print(f"stats.json: {'equal' if same else 'DIFFERENT'}")
+    for sub in ("doc_meta", "runs", "postings"):
+        a, b = (_digests(index[s], sub) for s in ("parent", "change"))
+        first = next((x or y for x, y in itertools.zip_longest(a, b) if x != y),
+                     None)
+        ok &= first is None
+        print(f"{sub} bytes: "
+              f"{'equal' if first is None else 'DIFFERENT, first at ' + first[0]}"
+              f" ({len(a)} / {len(b)} files)")
 
     print(f"corpus bytes: {corpus_bytes:,}")
     layouts = {s: _layout(index[s]) for s in index}

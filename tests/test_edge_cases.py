@@ -14,7 +14,15 @@ from uci_searchengine_ray.pipelines.search import (
     search_one,
 )
 
-CFG = EngineConfig(ckpt_groups=1, tokenize_batch_size=4)
+CFG = EngineConfig(ckpt_groups=1)
+
+
+@pytest.fixture
+def four_doc_batches(monkeypatch):
+    """Tokenize batches of at most four docs (the planner's row bound)."""
+    from uci_searchengine_ray.pipelines import index_build
+
+    monkeypatch.setattr(index_build, "batch_rows", lambda rows, ncpu: 4)
 
 
 def _write(tmp_path, contents):
@@ -32,7 +40,7 @@ def _write(tmp_path, contents):
     return str(d)
 
 
-def test_huge_document(ray_session, tmp_path):
+def test_huge_document(ray_session, tmp_path, four_doc_batches):
     """A multi-MB source file flows through tokenize/encode/serve intact."""
     big = ("def very_long_function_name x y z return value " * 120_000)  # ~5.5 MB
     # 3 docs so idf = ln(N/(df+1)) = ln(3/2) > 0 (with N=2 the reference's
@@ -50,7 +58,7 @@ def test_huge_document(ray_session, tmp_path):
     assert idx.df("return") == 2
 
 
-def test_empty_corpus_file(ray_session, tmp_path):
+def test_empty_corpus_file(ray_session, tmp_path, four_doc_batches):
     corpus = _write(tmp_path, [])
     snap = str(tmp_path / "i0")
     build_index(corpus, snap, CFG, mode="fresh")
@@ -70,7 +78,8 @@ def test_empty_corpus_file(ray_session, tmp_path):
     assert quarantine_listing(snap).to_pylist() == []
 
 
-def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path, monkeypatch):
+def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path, monkeypatch,
+                                                 four_doc_batches):
     """Fault injection: a doc_meta file rewritten without one row leaves
     postings whose ordinals no longer line up with the snapshot's doc list.
     Any query raises naming doc_meta, instead of scoring postings onto a
@@ -109,7 +118,7 @@ def test_doc_missing_from_doc_meta_fails_loudly(ray_session, tmp_path, monkeypat
     assert fetched == []
 
 
-def test_all_unindexable_corpus(ray_session, tmp_path):
+def test_all_unindexable_corpus(ray_session, tmp_path, four_doc_batches):
     """Docs exist but none tokenize: N counts them, index is empty."""
     corpus = _write(tmp_path, ["", "!!! ...", "   "])
     snap = str(tmp_path / "i1")
@@ -255,14 +264,16 @@ def _one_identity_in_two_files(tmp_path):
 
 @pytest.mark.parametrize("batch_size", [3, 1])
 def test_duplicate_doc_id_across_batches_clear_error(ray_session, tmp_path,
-                                                     batch_size):
+                                                     monkeypatch, batch_size):
     """One identity in two tokenize batches fails the build.  In 3-doc
     batches the doc table holds the id twice; in 1-doc batches both
     batches name their files after it, so one would replace the other and
     lose a doc."""
+    from uci_searchengine_ray.pipelines import index_build
+
     corpus = _one_identity_in_two_files(tmp_path)
-    cfg = EngineConfig(mode="reference", ckpt_groups=1,
-                       tokenize_batch_size=batch_size)
+    monkeypatch.setattr(index_build, "batch_rows", lambda rows, ncpu: batch_size)
+    cfg = EngineConfig(mode="reference", ckpt_groups=1)
     with pytest.raises(ValueError, match="duplicate doc_id -?[0-9]+ in two corpus batches"):
         build_index(corpus, str(tmp_path / "i"), cfg, mode="fresh")
 

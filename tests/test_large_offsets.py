@@ -4,10 +4,12 @@ The schema promise: ``content`` travels as ``pa.large_string()`` because a
 block of source files can exceed the 2 GiB int32 offset capacity of plain
 ``string``.  Pin it end-to-end: a corpus whose SUMMED content is > 2³¹
 bytes (nine ~260 MB docs; padding is spaces so tokenization stays a cheap
-C scan and parquet RLE keeps the file small) must flow through the
-tokenize batch, the doc-meta forward store and a full ``build_index`` with
-no ArrowInvalid/ArrowCapacityError, and the postings must be correct —
-each doc's unique marker term retrieves exactly that doc.
+C scan and parquet RLE keeps the file small) must flow through one
+tokenize batch (``TokenizeExplode`` and the build's ``TokenizeEncodeRuns``),
+the doc-meta forward store and a full ``build_index`` (whose planner cuts
+it into byte-bounded batches) with no ArrowInvalid/ArrowCapacityError, and
+the postings must be correct — each doc's unique marker term retrieves
+exactly that doc.
 
 One module-scoped corpus is shared by the unit probe and the e2e build to
 pay the ~2.4 GB string construction once.
@@ -127,6 +129,38 @@ def test_tokenize_and_doc_meta_over_2gib_batch(big_corpus):
     assert meta["content"].type == pa.large_string()
     assert set(meta["n_chars"].to_pylist()) == {PAD + len("bigdoc0 header")}
     assert not any(meta["failed"].to_pylist())
+
+
+def test_tokenize_encode_runs_over_2gib_batch(big_corpus, tmp_path):
+    """The > 2 GiB batch through the build's phase-1 stage itself.  The
+    e2e build below plans byte-bounded batches, so no batch it tokenizes
+    passes 2³¹ bytes; this pins the stage on one that does."""
+    import numpy as np
+    import pyarrow.compute as pc
+    from pyarrow import fs as pafs
+
+    from uci_searchengine_ray.functions import codecs
+    from uci_searchengine_ray.stages.postings import TokenizeEncodeRuns, key_ranges
+
+    _, batch = big_corpus
+    meta_dir, runs_dir = str(tmp_path / "meta"), str(tmp_path / "runs")
+    stage = TokenizeEncodeRuns(
+        "reference", 4, pafs.LocalFileSystem(), meta_dir, runs_dir,
+        key_starts=[lo for lo, _ in key_ranges(4, 2)])
+    (summary,) = stage(batch).to_pylist()
+    assert summary["docs"] == N_DOCS and summary["tokens"] == 2 * N_DOCS
+    runs = pq.read_table(os.path.join(runs_dir, f"runs-{summary['stem']}.parquet"))
+    by_term = {r["term"]: r for r in runs.to_pylist()}
+    assert set(by_term) == {"header"} | {f"bigdoc{i}" for i in range(N_DOCS)}
+    header = runs.filter(pc.equal(runs["term"], "header"))
+    ranks, tfs = codecs.decode_postings(header["ids_enc"], header["tfs_enc"],
+                                        np.array([N_DOCS]))
+    assert ranks.tolist() == list(range(N_DOCS)) and set(tfs.tolist()) == {1}
+    assert all(by_term[f"bigdoc{i}"]["n"] == 1 for i in range(N_DOCS))
+    meta = pq.read_table(os.path.join(meta_dir, f"meta-{summary['stem']}.parquet"),
+                         columns=["doc_len", "n_chars"])
+    assert set(meta["doc_len"].to_pylist()) == {2}
+    assert set(meta["n_chars"].to_pylist()) == {PAD + len("bigdoc0 header")}
 
 
 def test_build_and_query_over_2gib_corpus(ray_session, big_corpus, tmp_path):

@@ -320,6 +320,7 @@ def test_noop_continue_reads_no_footers(
         raise AssertionError("no footer scan or cluster query expected")
 
     monkeypatch.setattr(index_build.storage, "parquet_rows", boom)
+    monkeypatch.setattr(index_build.storage, "parquet_row_groups", boom)
     monkeypatch.setattr(index_build.ray, "cluster_resources", boom)
     for cfg in (CFG, EngineConfig(mode="reference", block_size=16)):
         build_index(corpus, snap, cfg, mode="continue")

@@ -17,20 +17,6 @@ class EngineConfig:
     # posting-block size (postings per block)
     block_size: int = 128
 
-    # tokenize-stage batch size (docs per batch).  Each batch writes one
-    # doc_meta file and one runs file (the phase-1→2 exchange), and bigger
-    # batches mean fewer runs per term (runs ≈ n_batches × batch vocab) and
-    # fewer files for every merge task to scan — but batch bytes ×
-    # concurrency must fit the worker heap: at ~2.5 KB/doc 8192 is ~20
-    # MB/batch; drop to 64-256 for 100 KB+ source files or huge binary
-    # payloads.
-    # None (default) = scale-aware: build_index derives the batch from the
-    # corpus row count (parquet footers) targeting one task wave per
-    # group, clamped to [1024, 8192] — small corpora keep full
-    # parallelism, big corpora get the fewest runs files the heap allows
-    # (measured 30% faster phase 2 at 1M docs vs a fixed 2048)
-    tokenize_batch_size: Optional[int] = None
-
     # checkpoint groups: input files are processed in this many lineage groups;
     # resume skips completed groups (manifest anti-join).  None (default) =
     # derived by build_index from the corpus row count and the cluster CPUs
@@ -68,14 +54,8 @@ def configure_data_context() -> None:
     shuffle exists for.  Safe to call any time before execution; every
     session owner (bench, tests, CLI, driver entry) routes through it."""
     from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
 
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    except ImportError:  # older Ray: fall back to the legacy flag
-        strategy = None
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    if strategy is not None:
-        ctx.shuffle_strategy = strategy
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED

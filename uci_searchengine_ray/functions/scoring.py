@@ -17,15 +17,18 @@ Code-mode scorer: Okapi BM25, k1=1.2, b=0.75 (north-star axes A+B).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-def ref_idf(df: np.ndarray, n_docs: int) -> np.ndarray:
-    """Query-time idf = ln(N / (df + 1)) (reference search.py:98)."""
-    return np.log(max(n_docs, 1) / (np.asarray(df, dtype=np.float64) + 1.0))
+def ref_idf(df: int, n_docs: int) -> float:
+    """Query-time idf = ln(N / (df + 1)) (reference search.py:98), N
+    floored at 1 (search.py:85)."""
+    return math.log(max(n_docs, 1) / (df + 1))
 
 
 def ref_tf(tf_counts: np.ndarray, doc_lens: np.ndarray) -> np.ndarray:
@@ -37,11 +40,10 @@ def ref_tf(tf_counts: np.ndarray, doc_lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def bm25_idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+def bm25_idf(df: int, n_docs: int) -> float:
     """BM25 idf with +0.5 smoothing, floored at 0 via log1p form:
-    ln(1 + (N - df + 0.5) / (df + 0.5))."""
-    df = np.asarray(df, dtype=np.float64)
-    return np.log1p((n_docs - df + 0.5) / (df + 0.5))
+    ln(1 + (N - df + 0.5) / (df + 0.5)), N floored at 1."""
+    return math.log1p((max(n_docs, 1) - df + 0.5) / (df + 0.5))
 
 
 def bm25_term_score(
@@ -56,11 +58,6 @@ def bm25_term_score(
     dl = np.asarray(doc_lens, dtype=np.float64)
     denom = tf + k1 * (1.0 - b + b * dl / max(avgdl, 1e-12))
     return idf * tf * (k1 + 1.0) / denom
-
-
-def bm25_upper_bound(idf: float, k1: float = BM25_K1) -> float:
-    """tf→∞ limit of the BM25 term score: idf * (k1 + 1)."""
-    return float(idf) * (k1 + 1.0)
 
 
 def build_snippet(text: str, query_terms: list, max_length: int = 200) -> str:

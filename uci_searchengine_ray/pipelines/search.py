@@ -27,7 +27,6 @@ is built on first access.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,7 +38,8 @@ import pyarrow.parquet as pq
 from ..config import EngineConfig
 from ..functions import codecs
 from ..functions.hashing import term_shard
-from ..functions.scoring import bm25_term_score, build_snippet
+from ..functions.scoring import (
+    bm25_idf, bm25_term_score, build_snippet, ref_idf, ref_tf)
 from ..functions.tokenizer import TOKENIZERS
 from ..state import storage
 from ..state.docstore import (
@@ -322,13 +322,11 @@ class PostingsIndex:
         if missing:
             self.prefetch(terms)  # one pruned scan for the missing ones
             lens = self.docs.lens
-            n = max(self.n_docs, 1)
             for t in missing:
                 ords, tfs = self._decode(t)
-                df = self.df(t)
-                idf = math.log1p((n - df + 0.5) / (df + 0.5))
-                contribs = bm25_term_score(tfs, lens[ords], idf, self.avgdl,
-                                           self.k1, self.b)
+                contribs = bm25_term_score(
+                    tfs, lens[ords], bm25_idf(self.df(t), self.n_docs),
+                    self.avgdl, self.k1, self.b)
                 self._scored.put(t, (ords, contribs),
                                  ords.nbytes + contribs.nbytes)
             self._evict()
@@ -354,15 +352,10 @@ def score_reference(index: PostingsIndex, query: str) -> Tuple[np.ndarray, np.nd
     index.prefetch(sorted(set(present)))  # one pruned scan for all terms
     union = np.unique(np.concatenate([index.postings(t)[0] for t in set(present)]))
     acc = np.zeros(len(union), dtype=np.float64)
-    n = max(index.n_docs, 1)
     for tok in present:  # token order, duplicates twice — search.py:89
         ords, tfs = index.postings(tok)
-        dls = index.docs.lens[ords]
-        idf = math.log(n / (index.df(tok) + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tf = tfs.astype(np.float64) / dls.astype(np.float64)
-        tf[dls == 0] = 0.0
-        acc[np.searchsorted(union, ords)] += tf * idf
+        tf = ref_tf(tfs, index.docs.lens[ords])
+        acc[np.searchsorted(union, ords)] += tf * ref_idf(index.df(tok), index.n_docs)
     keep = acc > 0  # search.py:102
     ords, scores = union[keep], acc[keep]
     order = np.lexsort((ords, -scores))

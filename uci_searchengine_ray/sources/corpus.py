@@ -8,10 +8,9 @@ Two sources:
      source-code corpus of FIXTURES.md §1, written as N parquet files so reads
      parallelize.  Replaces the reference's HTTP fetcher (crawler.py:64-74):
      the rebuilt engine ingests Parquet, it does not crawl.
-  2. ``read_corpus`` / ``corpus_from_documents`` — read a corpus directory, or
-     adapt the driver-provided ``documents.parquet``
-     (doc_id,text,lang,source,n_chars) to the corpus shape via a thin
-     column-rename map_batches (FIXTURES.md §6).
+  2. ``adapt_documents_batch`` — adapt the driver-provided
+     ``documents.parquet`` (doc_id,text,lang,source,n_chars) to the corpus
+     shape, batch by batch (FIXTURES.md §6).
 
 Schemas are explicit, never inferred.
 """
@@ -159,11 +158,6 @@ def write_synthetic_corpus(
         for r in ranges:
             _write_one(*r)
     return out_dir
-
-
-def read_corpus(path: str, columns: Optional[List[str]] = None) -> "ray.data.Dataset":
-    """Read a corpus directory/file with column pruning at the read."""
-    return ray.data.read_parquet(path, columns=columns)
 
 
 def adapt_documents_batch(batch: pa.Table) -> pa.Table:

@@ -4,17 +4,14 @@ The reference inserts one uncompressed SQLite row per posting in insertion
 order (crawler.py:460-466, models.py:182-197).  The rebuild constructs sorted,
 delta+varbyte-compressed posting blocks in two stages:
 
-  phase 1 — ``TokenizeEncodeRuns`` (map_batches, NO shuffle): tokenize a
-      corpus batch, combine per-doc TFs in-batch (SURVEY §2.5 A1 — each
-      (term, doc) pair is unique afterwards), then sort the postings by
-      (term, doc) within the batch and emit one compressed *run* row per
-      term per batch.  The sort is over integers: the batch's terms are
-      dictionary-encoded, the distinct terms sorted once, and a posting
-      sorts by its term's rank (an order-preserving code).  A
-      run names each doc by its *rank* among the batch's ascending doc ids,
-      so its gaps are small (a doc's token length goes to its doc-meta row
-      only).  Fusing tokenize→explode→encode in one stage means raw
-      postings never cross the object store.  The phase-1→2 exchange is
+  phase 1 — ``TokenizeEncodeRuns`` (one task per planned batch, NO
+      shuffle): tokenize a corpus batch, combine per-doc TFs in-batch
+      (SURVEY §2.5 A1), sort the postings by (term, doc) — over integers:
+      a posting sorts by its term's rank among the batch's distinct terms
+      — and emit one compressed *run* row per term per batch.  A run names
+      each doc by its *rank* among the batch's ascending doc ids, so its
+      gaps are small; raw postings never cross the object store.  The
+      phase-1→2 exchange is
       one runs file per batch, ``runs-{first id}-{n}.parquet`` beside the
       batch's ``meta-{first id}-{n}.parquet``: rows sorted by (merge_key =
       hash(term) % merge keys, term), one row group per phase-2 task's key
@@ -160,13 +157,9 @@ class TokenizeEncodeRuns:
         self._store_content = store_content
 
     def _write_meta(self, batch: pa.Table, doc_ids, doc_lens, stem: str) -> None:
-        """Fused doc-meta output: one parquet file per batch, written from
-        inside the tokenize task so the corpus is read ONCE for both outputs.
-        The file name is a deterministic function of the batch content
-        (first doc_id + row count), so a retried task overwrites its own
-        file instead of duplicating rows.  Writes go through the pyarrow.fs
-        abstraction (state/storage.py) so the snapshot may live on an object
-        store."""
+        """The batch's doc-meta file, written from the tokenize task so the
+        corpus is read ONCE for both outputs; its name (first doc_id + row
+        count) makes a retried task overwrite its own file."""
         from .tokenize import doc_meta_batch
 
         meta = doc_meta_batch(batch, doc_lens=doc_lens, doc_ids=doc_ids)

@@ -193,18 +193,6 @@ def _salt(j: int) -> np.uint64:
     return np.uint64((0x9E3779B97F4A7C15 * (j + 1)) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _cms_from_hashes(h: np.ndarray, d: int, w: int) -> np.ndarray:
-    """d×w int64 count-min table from pre-hashed values: row j indexes by
-    a splitmix64 re-mix of (h ^ salt_j).  Counts merge ADDITIVELY, so the
-    distributed combine is a Sum tree."""
-    cms = np.zeros((d, w), dtype=np.int64)
-    for j in range(d):
-        idx = (mix64(h ^ _salt(j))
-               % np.uint64(w)).astype(np.int64)
-        np.add.at(cms[j], idx, 1)
-    return cms
-
-
 def _cms_query(cms: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Point estimates (min over rows) for pre-hashed values."""
     d, w = cms.shape

@@ -26,10 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 from . import storage
 
 
-def _manifest_dir(index_dir: str) -> str:
-    return storage.join(index_dir, "_manifest")
-
-
 def append_row(index_dir: str, row: Dict[str, Any]) -> None:
     fs, root = storage.resolve(index_dir)
     mdir = storage.join(root, "_manifest")

@@ -177,15 +177,25 @@ def parquet_rows(path: str, fs: pafs.FileSystem | None = None) -> int:
     """Row count of a parquet file or directory from FOOTER metadata only
     (zero data read; recursive over nested/hive layouts).  ``path`` is a
     path or URI, or an in-filesystem path when ``fs`` is given."""
-    import pyarrow.parquet as pq
-
     if fs is None:
         fs, path = resolve(path)
     if fs.get_file_info(path).type == pafs.FileType.Directory:
         files = ls_files(fs, path, suffix=".parquet")
     else:
         files = [path]
-    return sum(pq.read_metadata(f, filesystem=fs).num_rows for f in files)
+    return sum(n for f in files for n, _ in parquet_row_groups(f, fs))
+
+
+def parquet_row_groups(path: str, fs: pafs.FileSystem, columns=None) -> list:
+    """(rows, uncompressed bytes of ``columns``, all when None) of each row
+    group of one parquet file, from its footer alone."""
+    import pyarrow.parquet as pq
+
+    md = pq.read_metadata(path, filesystem=fs)
+    return [(rg.num_rows, sum(
+        c.total_uncompressed_size for c in map(rg.column, range(rg.num_columns))
+        if columns is None or c.path_in_schema.split(".")[0] in columns))
+        for rg in map(md.row_group, range(md.num_row_groups))]
 
 
 def write_table_idempotent(fs: pafs.FileSystem, table, dir_path: str,
