@@ -266,6 +266,7 @@ def test_band_group_star_fallback_keeps_mega_cluster_connected(ray_session):
     from uci_searchengine_ray.stages.dedup import (
         MAX_BAND_GROUP,
         _int_pairs_for_bucket,
+        _simhash_pairs_for_bucket,
     )
 
     n = MAX_BAND_GROUP + 10
@@ -286,6 +287,21 @@ def test_band_group_star_fallback_keeps_mega_cluster_connected(ray_session):
     assert _int_pairs_for_bucket(
         group, "band_key", carry_sizes=False
     ).num_rows == 0
+    # the simhash chunk groups take the same star past MAX_BAND_GROUP
+    sim = _simhash_pairs_for_bucket(
+        pa.table(
+            {
+                "ckey": group["band_key"],
+                "doc_id": group["doc_id"],
+                "simhash": pa.array([-(2**40)] * n, pa.int64()),
+            }
+        ),
+        max_hamming=3,
+    )
+    assert sim.num_rows == n - 1
+    assert set(sim["doc_a"].to_pylist()) == {100}
+    assert sim["doc_b"].to_pylist() == list(range(101, 100 + n))
+    assert set(sim["hamming"].to_pylist()) == {0}
 
 
 def test_components_union_find(ray_session):

@@ -20,6 +20,7 @@ from ray.data.aggregate import Count, Sum
 from ..functions.textstats import LANG_MARKERS, token_counts
 from ..functions.hashing import rolling_fingerprint_batch
 from ..functions.rounding import sql_round
+from ..stages.keyed import BUCKETS, bucket_groups
 from ..stages.tokenize import TokenizeExplode
 
 
@@ -343,15 +344,17 @@ def length_quantiles(sf_dir: str) -> "ray.data.Dataset":
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.select(["lang", "n_chars"]).to_pandas()
-        g = df.groupby(["lang", "n_chars"], sort=False).size().reset_index(name="pn")
+        g = (
+            batch.select(["lang", "n_chars"])
+            .drop_null()  # a null lang or length is in no histogram
+            .group_by(["lang", "n_chars"])
+            .aggregate([("n_chars", "count")])
+        )
         return pa.table(
             {
-                "lang": pa.array(g["lang"].astype(str)),
-                "v": pa.array(g["n_chars"].to_numpy(np.int64)),
-                "pn": pa.array(g["pn"].to_numpy(np.int64)),
+                "lang": g["lang"].cast(pa.string()),
+                "v": g["n_chars"].cast(pa.int64()),
+                "pn": g["n_chars_count"].cast(pa.int64()),
             }
         )
 
@@ -364,15 +367,6 @@ def length_quantiles(sf_dir: str) -> "ray.data.Dataset":
     QS = (0.5, 0.9, 0.99)
 
     def quantiles(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "lang" not in group.column_names:
-            return pa.table(
-                {
-                    "lang": pa.array([], pa.string()),
-                    "p50": pa.array([], pa.float64()),
-                    "p90": pa.array([], pa.float64()),
-                    "p99": pa.array([], pa.float64()),
-                }
-            )
         vals = group["v"].to_numpy(zero_copy_only=False).astype(np.float64)
         counts = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(vals, kind="stable")
@@ -463,9 +457,7 @@ def bigram_counts(sf_dir: str, k: int = 30) -> "ray.data.Dataset":
 TFIDF_TOPK = 5
 
 
-def tfidf_keywords(
-    sf_dir: str, k: int = TFIDF_TOPK, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def tfidf_keywords(sf_dir: str, k: int = TFIDF_TOPK) -> "ray.data.Dataset":
     """Per-doc top-k keyword extraction by tf·idf with the reference's
     §1.4 scoring semantics: tf = count/doc_len, idf = ln(N/(df+1)),
     ranked (score desc, term asc), scores 6-decimal rounded BEFORE
@@ -489,7 +481,7 @@ def tfidf_keywords(
     row_number over the same rounded score).
     """
     from ..functions.tokenizer import tokenize_reference
-    from ..stages.dedup import _add_int_key_bucket, _token_hashes
+    from ..stages.dedup import _token_hashes
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -532,15 +524,6 @@ def tfidf_keywords(
         )
 
     def score(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "term": pa.array([], pa.string()),
-                "tfidf": pa.array([], pa.float64()),
-            }
-        )
-        if group.num_rows == 0 or "th" not in group.column_names:
-            return empty
         th = group["th"].to_numpy(zero_copy_only=False)
         order = np.argsort(th, kind="stable")
         th = th[order]
@@ -564,16 +547,6 @@ def tfidf_keywords(
         )
 
     def topk(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-                "term": pa.array([], pa.string()),
-                "tfidf": pa.array([], pa.float64()),
-            }
-        )
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         terms = np.asarray(group["term"].to_pylist(), dtype=object)
         sc = group["tfidf"].to_numpy(zero_copy_only=False)
@@ -593,23 +566,13 @@ def tfidf_keywords(
             }
         )
 
-    return (
-        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda b: _add_int_key_bucket(b, "th", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(score, batch_format="pyarrow")
-        .map_batches(
-            lambda b: _add_int_key_bucket(b, "doc_id", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(topk, batch_format="pyarrow")
+    scored = bucket_groups(
+        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        "th",
+        BUCKETS,
+        score,
     )
+    return bucket_groups(scored, "doc_id", BUCKETS, topk)
 
 
 def approx_top_terms(sf_dir: str, k: int = 20) -> "pa.Table":

@@ -35,13 +35,13 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from ..functions.rounding import sql_round
 from ..functions.tokenizer import tokenize_reference
+from ..stages.keyed import BUCKETS, bucket_groups
 
 BOILER_MIN_DOCS = 3
 BOILER_MAX_HEAD = 20_000_000  # ~160 MB of int64 line hashes
@@ -157,8 +157,6 @@ def boilerplate_lines(
     constant-df cut; either way the collected head is size-guarded by
     ``max_head`` and fails loudly (naming the remedy) rather than silently
     broadcasting gigabytes."""
-    from ..stages.dedup import _add_int_key_bucket
-
     ds = _documents(sf_dir)
     if min_frac is not None:
         n_docs = ray.data.read_parquet(
@@ -171,9 +169,7 @@ def boilerplate_lines(
         doc, so df = segment length), keep the ≥min_docs head.  Vectorized
         segment ops instead of Ray's generic per-group Count aggregate —
         millions of near-singleton line-hash groups make that path the
-        pipeline's bottleneck (the `_pair_groupby` lesson)."""
-        if group.num_rows == 0 or "lh" not in group.column_names:
-            return pa.table({"lh": pa.array([], pa.int64())})
+        pipeline's bottleneck (see ``stages/keyed``)."""
         lh = np.sort(group["lh"].to_numpy(zero_copy_only=False))
         starts = np.concatenate(
             ([0], np.flatnonzero(lh[1:] != lh[:-1]) + 1)
@@ -181,20 +177,15 @@ def boilerplate_lines(
         nd = np.diff(np.append(starts, len(lh)))
         return pa.table({"lh": pa.array(lh[starts[nd >= min_docs]])})
 
-    boiler_ds = (
+    boiler_ds = bucket_groups(
         ds.map_batches(
             _distinct_line_hashes_batch, batch_format="pyarrow",
             zero_copy_batch=True,
-        )
-        .map_batches(
-            lambda t: _add_int_key_bucket(t, "lh", 64),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(count_filter, batch_format="pyarrow")
-        .materialize()  # guard-count + collect without recomputing the scan
-    )
+        ),
+        "lh",
+        BUCKETS,
+        count_filter,
+    ).materialize()  # guard-count + collect without recomputing the scan
     n_head = boiler_ds.count()
     if n_head > max_head:
         raise RuntimeError(
@@ -529,7 +520,6 @@ def _dup_window_occurrences(
     sf_dir: str,
     w: int = DUPSPAN_W,
     min_df: int = DUPSPAN_MIN_DF,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """The shared front half of span-level dedup: one row per OCCURRENCE of
     a token-``w``-window appearing in ≥ ``min_df`` distinct docs —
@@ -540,7 +530,7 @@ def _dup_window_occurrences(
     distinct-doc df count that keeps only dup-window occurrences.  NOTHING
     is collected on the driver; both ``dup_spans`` (coverage stats) and
     ``strip_dup_spans`` (interval spool) consume this stream."""
-    from ..stages.dedup import _add_int_key_bucket, _window_hashes_batch
+    from ..stages.dedup import _window_hashes_batch
 
     def windows(batch: pa.Table) -> pa.Table:
         token_lists = [
@@ -568,17 +558,6 @@ def _dup_window_occurrences(
     def df_filter(group: pa.Table) -> pa.Table:
         """Per hash bucket: drop windows whose hash appears in < min_df
         distinct docs.  One lexsort + segment ops over the whole bucket."""
-        # empty schema must match the non-empty path (int32 pos/n_tokens
-        # from the windows stage) or downstream blocks carry mixed schemas
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "pos": pa.array([], pa.int32()),
-                "n_tokens": pa.array([], pa.int32()),
-            }
-        )
-        if group.num_rows == 0 or "h" not in group.column_names:
-            return empty
         h = group["h"].to_numpy(zero_copy_only=False)
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         pos = group["pos"].to_numpy(zero_copy_only=False)
@@ -601,16 +580,13 @@ def _dup_window_occurrences(
             }
         )
 
-    return (
-        _documents(sf_dir)
-        .map_batches(windows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda b: _add_int_key_bucket(b, "h", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(df_filter, batch_format="pyarrow")
+    return bucket_groups(
+        _documents(sf_dir).map_batches(
+            windows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        BUCKETS,
+        df_filter,
     )
 
 
@@ -618,7 +594,6 @@ def dup_spans(
     sf_dir: str,
     w: int = DUPSPAN_W,
     min_df: int = DUPSPAN_MIN_DF,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Span-level duplication signals (the substring-dedup family of Lee et
     al. 2022, "Deduplicating Training Data Makes Language Models Better"):
@@ -637,9 +612,9 @@ def dup_spans(
       1. one text pass emits (h, doc_id, pos, n_tokens) per window
          OCCURRENCE — 32 B/row of hashes, never text;
       2. hash-bucketed groupby + per-bucket vectorized distinct-doc count
-         keeps only windows with df ≥ min_df (the ``_pair_groupby``-style
-         bucket-then-segment pattern: 64 buckets, not one Python call per
-         distinct window);
+         keeps only windows with df ≥ min_df (the keyed-group kernel
+         ``stages/keyed.bucket_groups``: 64 buckets, not one Python call
+         per distinct window);
       3. doc-bucketed groupby computes per-doc interval-union coverage.
          Fixed window length makes the union a closed form on the sorted
          start positions: covered = Σ min(w, next_pos − pos), last = w.
@@ -651,22 +626,10 @@ def dup_spans(
     STRINGS (space-join over the reference tokens is injective) — the
     same hash-vs-string trade as decontaminate/ngram_jaccard.
     """
-    from ..stages.dedup import _add_int_key_bucket
 
     def coverage(group: pa.Table) -> pa.Table:
         """Per doc bucket: interval-union coverage of the fixed-length dup
         windows — covered = Σ min(w, next_pos − pos), last window = w."""
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "dup_windows": pa.array([], pa.int64()),
-                "covered_tokens": pa.array([], pa.int64()),
-                "dup_fraction": pa.array([], pa.float64()),
-            }
-        )
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         pos = group["pos"].to_numpy(zero_copy_only=False)
         nt = group["n_tokens"].to_numpy(zero_copy_only=False)
@@ -693,15 +656,8 @@ def dup_spans(
             }
         )
 
-    return (
-        _dup_window_occurrences(sf_dir, w, min_df, num_buckets)
-        .map_batches(
-            lambda b: _add_int_key_bucket(b, "doc_id", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(coverage, batch_format="pyarrow")
+    return bucket_groups(
+        _dup_window_occurrences(sf_dir, w, min_df), "doc_id", BUCKETS, coverage
     )
 
 
@@ -711,7 +667,7 @@ _INTERVAL_SCHEMA = pa.schema(
 
 
 def dup_span_intervals(
-    occurrences: "ray.data.Dataset", w: int = DUPSPAN_W, num_buckets: int = 64
+    occurrences: "ray.data.Dataset", w: int = DUPSPAN_W
 ) -> "ray.data.Dataset":
     """Merged per-doc covered-token intervals from a dup-window occurrence
     stream: (doc_id, start, end) with ``end`` exclusive — the union of
@@ -719,11 +675,8 @@ def dup_span_intervals(
     interval begins where the gap to the previous start exceeds ``w``).
     Row count is bounded by the occurrence count and in practice far
     smaller (boilerplate runs merge into one row)."""
-    from ..stages.dedup import _add_int_key_bucket
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return _INTERVAL_SCHEMA.empty_table()
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         pos = group["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((pos, d))
@@ -742,15 +695,7 @@ def dup_span_intervals(
             }
         )
 
-    return (
-        occurrences.map_batches(
-            lambda b: _add_int_key_bucket(b, "doc_id", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return bucket_groups(occurrences, "doc_id", BUCKETS, merge)
 
 
 class _StripScan:
@@ -804,7 +749,6 @@ def strip_dup_spans(
     sf_dir: str,
     w: int = DUPSPAN_W,
     min_df: int = DUPSPAN_MIN_DF,
-    num_buckets: int = 64,
     spool_dir: str | None = None,
 ) -> "ray.data.Dataset":
     """The ACTION counterpart of ``dup_spans``: remove every token span
@@ -857,9 +801,9 @@ def strip_dup_spans(
     claim_dir(
         spool_dir, ".uciray_dupspan_spool", "a previous strip_dup_spans run"
     )
-    occ = _dup_window_occurrences(sf_dir, w, min_df, num_buckets)
+    occ = _dup_window_occurrences(sf_dir, w, min_df)
     write_doc_sorted(
-        dup_span_intervals(occ, w, num_buckets).select_columns(
+        dup_span_intervals(occ, w).select_columns(
             ["doc_id", "start", "end"]
         ),
         spool_dir,

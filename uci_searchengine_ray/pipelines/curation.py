@@ -94,35 +94,23 @@ def curate(
     def filter_stage(batch: pa.Table) -> pa.Table:
         return curate_filter_batch(batch, min_tokens, max_stopword_ratio)[0]
 
-    from ..stages.dedup import _add_hex_key_bucket, min_doc_winner_indices
+    from ..stages.dedup import min_doc_winner_indices
+    from ..stages.keyed import BUCKETS, bucket_groups
 
     def keep_first(group: pa.Table) -> pa.Table:
         """Per sha-bucket: min-doc_id winner per distinct content, ONE
         lexsort + segment pass (a map_groups call per sha group is a
         Python call per distinct content — the slow path)."""
         cols = ["doc_id", "lang", "n_tokens", "n_chars"]
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "lang": pa.array([], pa.string()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "n_chars": pa.array([], pa.int64()),
-                }
-            )
         idx = min_doc_winner_indices(
             group["content_sha256"].to_pylist(),
             group["doc_id"].to_numpy(zero_copy_only=False),
         )
         return group.select(cols).take(pa.array(idx))
 
-    return (
-        ds.map_batches(filter_stage, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda t: _add_hex_key_bucket(t, "content_sha256", 64),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(keep_first, batch_format="pyarrow")
+    return bucket_groups(
+        ds.map_batches(filter_stage, batch_format="pyarrow", zero_copy_batch=True),
+        "content_sha256",
+        BUCKETS,
+        keep_first,
     )

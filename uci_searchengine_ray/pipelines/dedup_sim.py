@@ -188,7 +188,7 @@ def near_dedup_keep(sf_dir: str, pairs: str = "auto") -> "ray.data.Dataset":
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..stages.dedup import _add_int_key_bucket
+    from ..stages.keyed import BUCKETS, bucket_groups
 
     if pairs == "auto":
         pairs = (
@@ -238,14 +238,6 @@ def near_dedup_keep(sf_dir: str, pairs: str = "auto") -> "ray.data.Dataset":
         sort + segment pass, keep undropped docs — a generic Sum/Max
         aggregate on a ~corpus-cardinality key is the per-group Python
         slow path everywhere else in this repo."""
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_chars": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         nch = group["n_chars"].to_numpy(zero_copy_only=False)
         dr = group["drop"].to_numpy(zero_copy_only=False)
@@ -264,15 +256,7 @@ def near_dedup_keep(sf_dir: str, pairs: str = "auto") -> "ray.data.Dataset":
             }
         )
 
-    return (
-        merged.map_batches(
-            lambda t: _add_int_key_bucket(t, "doc_id", 64),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(keep, batch_format="pyarrow")
-    )
+    return bucket_groups(merged, "doc_id", BUCKETS, keep)
 
 
 def embedding_quantize(sf_dir: str) -> "ray.data.Dataset":

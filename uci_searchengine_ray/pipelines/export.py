@@ -95,18 +95,6 @@ def keep_list(
         """Per sha-bucket: min-doc_id winner per distinct content, ONE
         lexsort + segment pass (see curation.curate)."""
         cols = ["doc_id", "lang", "n_tokens", "n_chars", "drop"]
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "lang": pa.array([], pa.string()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "n_chars": pa.array([], pa.int64()),
-                    "drop": pa.array([], pa.bool_()),
-                }
-            )
-        from ..stages.dedup import min_doc_winner_indices
-
         idx = min_doc_winner_indices(
             group["content_sha256"].to_pylist(),
             group["doc_id"].to_numpy(zero_copy_only=False),
@@ -120,25 +108,21 @@ def keep_list(
         )
         return out.append_column("shard", pa.array(sh, pa.int64()))
 
-    from ..stages.dedup import _add_hex_key_bucket
+    from ..stages.dedup import min_doc_winner_indices
+    from ..stages.keyed import BUCKETS, bucket_groups
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text", "lang"],
     )
-    return (
+    return bucket_groups(
         docs.map_batches(
             fused_filter, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .map_batches(
-            lambda t: _add_hex_key_bucket(t, "content_sha256", 64),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(keep_first, batch_format="pyarrow")
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        ),
+        "content_sha256",
+        BUCKETS,
+        keep_first,
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def export_shards_summary(

@@ -204,17 +204,14 @@ def running_total(
     off_ref = ray.put(offsets)
 
     def add_cum(group: pa.Table) -> pa.Table:
-        empty = group.slice(0, 0).append_column(
-            "cum", pa.array([], pa.int64())
-        )
-        if group.num_rows == 0:
-            return empty
         offs = ray.get(off_ref)  # local plasma lookup after the first get
         bucket = int(group["bucket"][0].as_py())
         key = (group[group_col][0].as_py(), bucket) if group_col else bucket
         off = offs.get(key, 0)
         if stop_after is not None and off >= stop_after:
-            return empty
+            return group.slice(0, 0).append_column(
+                "cum", pa.array([], pa.int64())
+            )
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         h = group["h"].to_numpy(zero_copy_only=False)
         vals = group[value_col].to_numpy(zero_copy_only=False)

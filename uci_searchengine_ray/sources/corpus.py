@@ -386,17 +386,6 @@ def write_corpus(ds: "ray.data.Dataset", out_dir: str) -> str:
     return out_dir
 
 
-def corpus_from_documents(sf_dir: str) -> "ray.data.Dataset":
-    """Adapt driver testdata ``documents.parquet`` to the corpus shape."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang", "source"],
-    )
-    return ds.map_batches(
-        adapt_documents_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # synthetic DOCUMENTS table (testdata shape) for curation-at-scale benches
 # ---------------------------------------------------------------------------

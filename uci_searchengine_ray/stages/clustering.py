@@ -106,14 +106,6 @@ def _partial_sums_batch(batch: pa.Table, C: np.ndarray) -> pa.Table:
 def _combine_partials(group: pa.Table, k: int, d: int) -> pa.Table:
     """Merge one pbucket's per-block partials into ≤k rows (elementwise
     n/vsum sums — the additive twin of the sketches.py register merge)."""
-    if group.num_rows == 0 or "cluster" not in group.column_names:
-        return pa.table(
-            {
-                "cluster": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "vsum": pa.array([], pa.list_(pa.float64())),
-            }
-        )
     lab = group["cluster"].to_numpy(zero_copy_only=False).astype(np.int64)
     ns = group["n"].to_numpy(zero_copy_only=False).astype(np.int64)
     V = np.asarray(group["vsum"].to_pylist(), dtype=np.float64)
@@ -256,7 +248,7 @@ def _group_pairs(
             "cosine": pa.array([], pa.float64()),
         }
     )
-    if group.num_rows < 2 or "vec_id" not in group.column_names:
+    if group.num_rows < 2:
         return empty
     ids, X = _to_matrix(group)
     order = np.argsort(ids, kind="stable")

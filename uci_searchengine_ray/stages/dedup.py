@@ -2,9 +2,11 @@
 in the reference; the reference's only dedup is exact URL dedup, SURVEY §2.7
 D1, which ``exact_dedup`` generalizes to content hashing).
 
-All pipelines are Ray-Data-first:
-  - exact:    vectorized sha256 column → groupby(hash) aggregate — the
-    hash-partition + per-group-first pattern.
+All pipelines are Ray-Data-first, and every keyed shuffle (content hash,
+shingle, band key, doc pair, graph node) runs through the one keyed-group
+kernel ``stages/keyed.bucket_groups``: hash-bucket, groupby the bucket,
+numpy segment ops per bucket.
+  - exact:    vectorized sha256 column → bucketed per-content min-doc_id.
   - n-gram Jaccard: shingle explode → groupby(shingle) pair emission (bounded
     by a shingle-df cap, the standard hot-shingle guard) → pair-count groupby
     → Jaccard filter.  Exact, SQL-verifiable.
@@ -30,11 +32,12 @@ import ray.data
 
 from ..functions.tokenizer import tokenize_reference
 from ..functions.rounding import sql_round
+from .keyed import BUCKETS, bucket_groups, pair_hash
 
 MAX_SHINGLE_DF = 200  # hot-shingle guard; mirrored in the oracle SQL
 # near-dup candidate keys (LSH bands, simhash chunks): groups up to this
 # size emit exact all-pairs; beyond it a star to the representative keeps
-# mega-clusters connected at O(n) (see _int_pairs_for_bucket)
+# mega-clusters connected at O(n) (see _segment_pairs)
 MAX_BAND_GROUP = 4096
 
 # byte → number of set bits, for vectorized 64-bit hamming distance
@@ -60,20 +63,6 @@ def add_sha256(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
-def _add_hex_key_bucket(
-    batch: pa.Table, key_col: str, num_buckets: int
-) -> pa.Table:
-    """Bucket for a hex-string key (sha256 etc.): first 8 hex chars mod
-    num_buckets — uniform because the key is itself a cryptographic hash."""
-    keys = batch[key_col].to_pylist()
-    b = np.fromiter(
-        (int(s[:8], 16) % num_buckets for s in keys),
-        dtype=np.int32,
-        count=len(keys),
-    )
-    return batch.append_column("bucket", pa.array(b, pa.int32()))
-
-
 def min_doc_winner_indices(keys, ids: np.ndarray) -> np.ndarray:
     """Row indices of the min-doc_id row per distinct key, for a group
     table sorted any way — ONE lexsort + segment-starts instead of a
@@ -86,22 +75,12 @@ def min_doc_winner_indices(keys, ids: np.ndarray) -> np.ndarray:
     return order[starts]
 
 
-def exact_dedup(
-    docs: "ray.data.Dataset", num_buckets: int = 64
-) -> "ray.data.Dataset":
+def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     """(content_sha256, keep_id=min doc_id, n_dups) — one row per distinct
     content.  Hash-bucketed groupby over a 2-column projection with a
     vectorized per-bucket combine (sort + segment ops)."""
 
     def combine(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "content_sha256" not in group.column_names:
-            return pa.table(
-                {
-                    "content_sha256": pa.array([], pa.string()),
-                    "keep_id": pa.array([], pa.int64()),
-                    "n_dups": pa.array([], pa.int64()),
-                }
-            )
         sha = np.array(group["content_sha256"].to_pylist())
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, sha))
@@ -118,15 +97,11 @@ def exact_dedup(
             }
         )
 
-    return (
-        docs.map_batches(add_sha256, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda t: _add_hex_key_bucket(t, "content_sha256", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pyarrow")
+    return bucket_groups(
+        docs.map_batches(add_sha256, batch_format="pyarrow", zero_copy_batch=True),
+        "content_sha256",
+        BUCKETS,
+        combine,
     )
 
 
@@ -164,11 +139,31 @@ def shingle_batch(batch: pa.Table, k: int = 3) -> pa.Table:
     )
 
 
-def _add_int_key_bucket(batch: pa.Table, key_col: str, num_buckets: int) -> pa.Table:
-    """Vectorized bucket for an already-uniform int64 key (md5-derived)."""
-    keys = batch[key_col].to_numpy(zero_copy_only=False).view(np.uint64)
-    buckets = (keys % np.uint64(num_buckets)).astype(np.int32)
-    return batch.append_column("bucket", pa.array(buckets, pa.int32()))
+def _segment_pairs(
+    keys: np.ndarray, max_group: int, star_beyond: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs (ia, ib) within each run of equal values of the
+    SORTED ``keys``: all O(n²) pairs of a run of up to ``max_group`` rows;
+    beyond that a star from the run's first row to every other member
+    when ``star_beyond``, else nothing."""
+    starts = np.concatenate(
+        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)])
+    ).tolist()
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        n = hi - lo
+        if n < 2:
+            continue
+        if n > max_group:
+            if not star_beyond:
+                continue
+            ia = np.zeros(n - 1, dtype=np.int64)
+            ib = np.arange(1, n, dtype=np.int64)
+        else:
+            ia, ib = np.triu_indices(n, k=1)
+        out_a.append(lo + ia)
+        out_b.append(lo + ib)
+    return np.concatenate(out_a), np.concatenate(out_b)
 
 
 def _int_pairs_for_bucket(
@@ -190,85 +185,30 @@ def _int_pairs_for_bucket(
     the representative, so connected-component dedup still collapses it)
     at O(n) cost, instead of silently zeroing recall on exactly the
     most-duplicated content."""
-    names = (
-        ["doc_a", "doc_b", "na", "nb"] if carry_sizes else ["doc_a", "doc_b"]
-    )
-    if group.num_rows == 0 or key_col not in group.column_names:
-        return pa.table({c: pa.array([], pa.int64()) for c in names})
     keys = group[key_col].to_numpy(zero_copy_only=False)
     ids = group["doc_id"].to_numpy(zero_copy_only=False)
-    sizes = (
-        group["n_sh"].to_numpy(zero_copy_only=False) if carry_sizes else None
-    )
+    # ids ascend within a key run (lexsort secondary key), so a star's
+    # first row is the min-doc_id representative
     order = np.lexsort((ids, keys))
-    keys, ids = keys[order], ids[order]
-    if sizes is not None:
-        sizes = sizes[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)])
-    )
-    out_a, out_b, out_na, out_nb = [], [], [], []
-    for i in range(len(starts) - 1):
-        lo, hi = starts[i], starts[i + 1]
-        n = hi - lo
-        if n < 2:
-            continue
-        if n > max_group:
-            if not star_beyond:
-                continue
-            # ids are ascending within the group (lexsort secondary key):
-            # index 0 is the min-doc_id representative
-            ia = np.zeros(n - 1, dtype=np.int64)
-            ib = np.arange(1, n, dtype=np.int64)
-        else:
-            ia, ib = np.triu_indices(n, k=1)
-        out_a.append(ids[lo:hi][ia])
-        out_b.append(ids[lo:hi][ib])
-        if sizes is not None:
-            out_na.append(sizes[lo:hi][ia])
-            out_nb.append(sizes[lo:hi][ib])
-    cat = lambda xs: (  # noqa: E731
-        np.concatenate(xs) if xs else np.empty(0, dtype=np.int64)
-    )
-    cols = {"doc_a": cat(out_a), "doc_b": cat(out_b)}
+    ia, ib = _segment_pairs(keys[order], max_group, star_beyond)
+    ia, ib = order[ia], order[ib]
+    cols = {"doc_a": ids[ia], "doc_b": ids[ib]}
     if carry_sizes:
-        cols["na"], cols["nb"] = cat(out_na), cat(out_nb)
+        sizes = group["n_sh"].to_numpy(zero_copy_only=False)
+        cols["na"], cols["nb"] = sizes[ia], sizes[ib]
     return pa.table({c: pa.array(v, type=pa.int64()) for c, v in cols.items()})
 
 
-def _add_pair_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Vectorized (doc_a, doc_b)-hash bucket column (mixed so dense ids
-    spread)."""
-    a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = a * np.uint64(0x9E3779B97F4A7C15) ^ b * np.uint64(0xC2B2AE3D27D4EB4F)
-    h ^= h >> np.uint64(33)
-    return batch.append_column(
-        "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-    )
-
-
 def _pair_groupby(
-    pairs: "ray.data.Dataset", agg: dict, num_buckets: int = 64
+    pairs: "ray.data.Dataset", agg: dict, num_buckets: int = BUCKETS
 ) -> "ray.data.Dataset":
-    """groupby(doc_a, doc_b) with VECTORIZED per-bucket combine.
-
-    Ray's generic sort-based aggregate loops per group in Python — at ~10⁶
-    near-singleton pair groups that overhead dominates the whole pipeline
-    (measured 9-16 s vs ~2 s for this numpy path at sf0.1).  Same
-    bucket-then-vectorize trick as ``_int_pairs_for_bucket``: ONE groupby on a
-    small-cardinality bucket key, then numpy segment ops per bucket.
+    """groupby(doc_a, doc_b) through the keyed-group kernel: numpy segment
+    ops per pair bucket instead of one Python call per pair group.
 
     ``agg``: {out_col: (how, src_col, pyarrow_type)} with how in count/first/min.
     """
 
     def combine(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "doc_a" not in group.column_names:
-            cols = {"doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64())}
-            for out_col, (how, src, ty) in agg.items():
-                cols[out_col] = pa.array([], ty)
-            return pa.table(cols)
         a = group["doc_a"].to_numpy(zero_copy_only=False)
         b = group["doc_b"].to_numpy(zero_copy_only=False)
         order = np.lexsort((b, a))
@@ -289,15 +229,7 @@ def _pair_groupby(
                 )
         return pa.table(cols)
 
-    return (
-        pairs.map_batches(
-            lambda t: _add_pair_bucket(t, num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return bucket_groups(pairs, ("doc_a", "doc_b"), num_buckets, combine)
 
 
 def ngram_jaccard_pairs(
@@ -314,17 +246,11 @@ def ngram_jaccard_pairs(
     sh = docs.map_batches(
         lambda b: shingle_batch(b, k), batch_format="pyarrow", zero_copy_batch=True
     )
-    inter = (
-        sh.map_batches(
-            lambda b: _add_int_key_bucket(b, "sh_hash", 256),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(
-            lambda g: _int_pairs_for_bucket(g, "sh_hash", carry_sizes=True),
-            batch_format="pyarrow",
-        )
+    inter = bucket_groups(
+        sh,
+        "sh_hash",
+        256,
+        lambda g: _int_pairs_for_bucket(g, "sh_hash", carry_sizes=True),
     )
     inter = _pair_groupby(
         inter,
@@ -689,20 +615,14 @@ def minhash_lsh_pairs(
         lambda b: _minhash_batch(b, num_hashes, bands, k),
         batch_format="pyarrow",
     )
-    candidates = (
-        bands_ds.map_batches(
-            lambda b: _add_int_key_bucket(b, "band_key", 128),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(
-            lambda g: _int_pairs_for_bucket(
-                g, "band_key", carry_sizes=False,
-                max_group=MAX_BAND_GROUP, star_beyond=True,
-            ),
-            batch_format="pyarrow",
-        )
+    candidates = bucket_groups(
+        bands_ds,
+        "band_key",
+        128,
+        lambda g: _int_pairs_for_bucket(
+            g, "band_key", carry_sizes=False,
+            max_group=MAX_BAND_GROUP, star_beyond=True,
+        ),
     )
     candidates = _pair_groupby(
         candidates, {"n_bands": ("count", None, pa.int64())}
@@ -797,6 +717,38 @@ def simhash_batch(batch: pa.Table, k: int = 3) -> pa.Table:
     )
 
 
+def _simhash_pairs_for_bucket(group: pa.Table, max_hamming: int) -> pa.Table:
+    """Pairs within hamming ≤ ``max_hamming`` over ALL ckey groups of one
+    hash bucket: ``_segment_pairs`` candidates, hamming as one table-lookup
+    popcount over the whole bucket.
+
+    A chunk group larger than MAX_BAND_GROUP (16-bit values at many-M
+    docs) emits a star to its min-doc_id member instead of O(n²) pairs:
+    identical and near-identical signatures stay connected, but a pair
+    whose only witness chunk is that group and whose distance to the
+    representative exceeds the threshold is lost (the exact pigeonhole
+    guarantee holds up to MAX_BAND_GROUP)."""
+    keys = group["ckey"].to_numpy(zero_copy_only=False)
+    ids = group["doc_id"].to_numpy(zero_copy_only=False)
+    sh = group["simhash"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((ids, keys))
+    ia, ib = _segment_pairs(keys[order], MAX_BAND_GROUP, star_beyond=True)
+    ia, ib = order[ia], order[ib]
+    x = sh[ia].view(np.uint64) ^ sh[ib].view(np.uint64)
+    # vectorized popcount: view as bytes, table-lookup per byte, row-sum
+    ham = _POPCOUNT8[x.view(np.uint8).reshape(len(x), 8)].sum(
+        axis=1, dtype=np.int64
+    )
+    keep = ham <= max_hamming  # filter before the pair-dedup shuffle
+    return pa.table(
+        {
+            "doc_a": pa.array(ids[ia[keep]], type=pa.int64()),
+            "doc_b": pa.array(ids[ib[keep]], type=pa.int64()),
+            "hamming": pa.array(ham[keep], type=pa.int64()),
+        }
+    )
+
+
 def simhash_pairs(
     docs: "ray.data.Dataset", max_hamming: int = 3, k: int = 3
 ) -> "ray.data.Dataset":
@@ -835,73 +787,11 @@ def simhash_pairs(
             }
         )
 
-    def pairs_for_bucket(group: pa.Table) -> pa.Table:
-        """Vectorized pair emission over ALL ckey groups in one hash
-        bucket (the `_int_pairs_for_bucket` shape, carrying signatures so
-        hamming is one table-lookup popcount over the whole bucket)."""
-        empty = pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "hamming": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
-        keys = group["ckey"].to_numpy(zero_copy_only=False)
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        sh = group["simhash"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, keys))
-        keys, ids, sh = keys[order], ids[order], sh[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)])
-        )
-        ia_all, ib_all = [], []
-        for i in range(len(starts) - 1):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            n = hi - lo
-            if n < 2:
-                continue
-            if n > MAX_BAND_GROUP:
-                # pathological chunk collision (16-bit values at many-M
-                # docs): all-pairs would be O(n²); link members to the
-                # min-doc_id representative instead (ids ascend within the
-                # group) — identical/near-identical signatures stay
-                # connected; pairs whose only witness chunk is this group
-                # AND whose distance to the representative exceeds the
-                # threshold are lost (documented degradation; the exact
-                # pigeonhole guarantee holds up to MAX_BAND_GROUP)
-                ia = np.zeros(n - 1, dtype=np.int64)
-                ib = np.arange(1, n, dtype=np.int64)
-            else:
-                ia, ib = np.triu_indices(n, k=1)
-            ia_all.append(lo + ia)
-            ib_all.append(lo + ib)
-        if not ia_all:
-            return empty
-        ia = np.concatenate(ia_all)
-        ib = np.concatenate(ib_all)
-        x = sh[ia].view(np.uint64) ^ sh[ib].view(np.uint64)
-        # vectorized popcount: view as bytes, table-lookup per byte, row-sum
-        ham = _POPCOUNT8[x.view(np.uint8).reshape(len(x), 8)].sum(
-            axis=1, dtype=np.int64
-        )
-        keep = ham <= max_hamming  # filter before the pair-dedup shuffle
-        return pa.table(
-            {
-                "doc_a": pa.array(ids[ia[keep]], type=pa.int64()),
-                "doc_b": pa.array(ids[ib[keep]], type=pa.int64()),
-                "hamming": pa.array(ham[keep], type=pa.int64()),
-            }
-        )
-
-    cand = (
-        sigs.map_batches(explode_chunks, batch_format="pyarrow")
-        .map_batches(
-            lambda b: _add_int_key_bucket(b, "ckey", 128),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(pairs_for_bucket, batch_format="pyarrow")
+    cand = bucket_groups(
+        sigs.map_batches(explode_chunks, batch_format="pyarrow"),
+        "ckey",
+        128,
+        lambda g: _simhash_pairs_for_bucket(g, max_hamming),
     )
     return _pair_groupby(
         cand, {"hamming": ("min", "hamming", pa.int64())}
@@ -913,7 +803,7 @@ def simhash_pairs(
 # ---------------------------------------------------------------------------
 
 def _distinct_pairs(
-    pairs: "ray.data.Dataset", num_buckets: int = 64
+    pairs: "ray.data.Dataset", num_buckets: int = BUCKETS
 ) -> "ray.data.Dataset":
     """Distinct canonical (doc_a, doc_b) rows via the vectorized pair
     groupby (empty aggregate dict = dedup only)."""
@@ -923,7 +813,7 @@ def _distinct_pairs(
 
 
 def _star_round(
-    edges: "ray.data.Dataset", large: bool, num_buckets: int = 64
+    edges: "ray.data.Dataset", large: bool, num_buckets: int
 ) -> "ray.data.Dataset":
     """One large-star or small-star round over canonical (doc_a < doc_b)
     edges (Kiveris et al., "Connected Components in MapReduce and Beyond").
@@ -951,13 +841,6 @@ def _star_round(
         )
 
     def emit(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "node" not in group.column_names:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                }
-            )
         node = group["node"].to_numpy(zero_copy_only=False)
         nbr = group["nbr"].to_numpy(zero_copy_only=False)
         order = np.lexsort((nbr, node))
@@ -985,15 +868,11 @@ def _star_round(
             }
         )
 
-    return (
-        edges.map_batches(direct, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda t: _add_int_key_bucket(t, "node", num_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(emit, batch_format="pyarrow")
+    return bucket_groups(
+        edges.map_batches(direct, batch_format="pyarrow", zero_copy_batch=True),
+        "node",
+        num_buckets,
+        emit,
     )
 
 
@@ -1006,16 +885,14 @@ def _edge_signature(edges: "ray.data.Dataset") -> Tuple[int, int]:
     from ray.data.aggregate import Sum
 
     def part(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = a * np.uint64(0x9E3779B97F4A7C15) ^ b * np.uint64(
-            0xC2B2AE3D27D4EB4F
+        h = pair_hash(
+            batch["doc_a"].to_numpy(zero_copy_only=False),
+            batch["doc_b"].to_numpy(zero_copy_only=False),
         )
-        h ^= h >> np.uint64(33)
         s = int(h.sum(dtype=np.uint64))
         return pa.table(
             {
-                "n": pa.array([len(a)], pa.int64()),
+                "n": pa.array([len(h)], pa.int64()),
                 "h_hi": pa.array([s >> 32], pa.int64()),
                 "h_lo": pa.array([s & 0xFFFFFFFF], pa.int64()),
             }
@@ -1197,13 +1074,6 @@ def components_from_pairs(
         )
 
     def node_min(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "component": pa.array([], pa.int64()),
-                }
-            )
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         comp = group["component"].to_numpy(zero_copy_only=False)
         order = np.lexsort((comp, ids))
@@ -1217,13 +1087,9 @@ def components_from_pairs(
         )
 
     nb = int(max(1, min(64, sig[0] // 250_000 + 1)))
-    return (
-        edges.map_batches(label, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda t: _add_int_key_bucket(t, "doc_id", nb),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(node_min, batch_format="pyarrow")
+    return bucket_groups(
+        edges.map_batches(label, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id",
+        nb,
+        node_min,
     )

@@ -122,8 +122,6 @@ def _topk_per_query(
         )
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "vec_id" not in group.column_names:
-            return final_schema.empty_table()
         ids = group["vec_id"].to_numpy(zero_copy_only=False)
         scores = group[score_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, -scores))[:k]
@@ -502,12 +500,6 @@ def embedding_dup_pairs_ivf(
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "vec_id" not in group.column_names:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64()),
-                 "cosine": pa.array([], pa.float64())}
-            )
         ids, mat = _to_matrix(group)
         order = np.argsort(ids)
         ids, mat = ids[order], _normalize(mat[order])

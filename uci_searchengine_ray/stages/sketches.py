@@ -148,10 +148,6 @@ def approx_distinct(
         )
 
     def combine(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "regs" not in group.column_names:
-            return pa.table(
-                {"regs": pa.array([], pa.binary())}
-            )
         acc = np.zeros(m, dtype=np.uint8)
         for r in group["regs"].to_pylist():
             np.maximum(acc, np.frombuffer(r, dtype=np.uint8), out=acc)
@@ -250,13 +246,6 @@ def heavy_hitters(
         )
 
     def combine(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "cms" not in group.column_names:
-            return pa.table(
-                {
-                    "cms": pa.array([], pa.binary()),
-                    "cand": pa.array([], pa.list_(pa.string())),
-                }
-            )
         acc = np.zeros(d * w, dtype=np.int64)
         cands: set = set()
         for r, c in zip(group["cms"].to_pylist(),
