@@ -90,3 +90,9 @@ def test_cli_curation_and_export(ray_session, tmp_path, capsys):
     assert ex2["docs"] == ex["docs"]
     assert len(ex2["skipped_shards"]) > 0
 
+
+
+def test_curation_op_names_match_the_registry():
+    """``_CURATION_OPS`` lists the registry's names by hand, so that the CLI
+    parses arguments without importing the pipelines; the two must agree."""
+    assert list(cli._CURATION_OPS) == list(cli._curation_registry())

@@ -56,6 +56,41 @@ def test_bucket_formulas_are_pinned(key, n, expected):
     assert out.drop_columns(["bucket"]).equals(tables[key])
 
 
+def test_hex_bucket_matches_the_python_formula():
+    """The vectorized hex path gives ``int(s[:8], 16) % n`` for random
+    digests of either case, keys longer than 8 characters, sliced and
+    multi-chunk columns of both string types; a null, a key under 8
+    characters or a head that is not 8 hex digits raises instead of getting
+    a bucket."""
+    import numpy as np
+
+    from uci_searchengine_ray.stages.keyed import add_bucket
+
+    rng = np.random.default_rng(7)
+    keys = [
+        hashlib.sha256(rng.bytes(16)).hexdigest()[: int(rng.integers(8, 65))]
+        for _ in range(3000)
+    ]
+    keys = [k.upper() if rng.random() < 0.3 else k for k in keys]
+    for n in (1, 7, 64, 1000, 2**31 - 1):
+        for col in (
+            pa.array(keys),
+            pa.chunked_array([keys[:5], [], keys[5:]], pa.large_string()),
+            pa.array(keys).slice(11, 2000),
+        ):
+            got = add_bucket(pa.table({"k": col}), "k", n)["bucket"]
+            assert got.to_pylist() == [
+                int(s[:8], 16) % n for s in col.to_pylist()
+            ]
+    for bad in (None, "", "abc1234", "0x123456789", "+1234567a", "12_34567a",
+                "12 34 56 78", "abcdefgh", "1234567é"):
+        with pytest.raises(ValueError):
+            add_bucket(
+                pa.table({"k": pa.array([HEX_KEYS[0], bad], pa.string())}),
+                "k", 64,
+            )
+
+
 @pytest.mark.parametrize("key", ["doc_id", "content_sha256",
                                  ("doc_a", "doc_b")])
 def test_bucket_groups_delivers_each_key_to_one_call(ray_session, key):

@@ -15,8 +15,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from uci_searchengine_ray.stages.keyed import BUCKETS
 
-def _random_events(seed: int, n: int) -> pa.Table:
+
+def _random_events(seed: int, n: int, user_step: int = 1) -> pa.Table:
+    """``user_step`` spaces the 7 user ids apart: at a multiple of the
+    keyed kernel's bucket count every user lands in one bucket."""
     rng = np.random.default_rng(seed)
     base = 1_700_000_000_000_000  # µs epoch
     # clustered times with repeats: many same-instant events (tie-breaks!)
@@ -28,7 +32,7 @@ def _random_events(seed: int, n: int) -> pa.Table:
             "event_id": pa.array(np.arange(1, n + 1, dtype=np.int64)),
             "ts": pa.array(ts.astype(np.int64)).cast(pa.timestamp("us")),
             "user_id": pa.array(
-                rng.integers(0, 7, size=n).astype(np.int64)
+                rng.integers(0, 7, size=n).astype(np.int64) * user_step
             ),
             "event_type": pa.array(
                 rng.choice(["click", "purchase", "view"], size=n).tolist()
@@ -55,14 +59,25 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-@pytest.mark.parametrize("seed", [11, 23, 47])
-def test_random_events_conformance(ray_session, tmp_path, seed):
+@pytest.mark.parametrize(
+    "seed,user_step",
+    [
+        pytest.param(11, 1, id="11"),
+        pytest.param(23, 1, id="23"),
+        pytest.param(47, 1, id="47"),
+        # every user in bucket 0: user boundaries inside one bucket call
+        pytest.param(11, BUCKETS, id="11-one-bucket"),
+    ],
+)
+def test_random_events_conformance(ray_session, tmp_path, seed, user_step):
     import __ray_entry__ as e
     from uci_searchengine_ray.pipelines import relational
 
     d = tmp_path / f"sf{seed}"
     d.mkdir()
-    pq.write_table(_random_events(seed, 800), str(d / "events.parquet"))
+    pq.write_table(
+        _random_events(seed, 800, user_step), str(d / "events.parquet")
+    )
 
     con = duckdb.connect()
     con.execute(

@@ -3,15 +3,20 @@ testdata star schema — demonstrates the engine's generic groupby / broadcast
 join / sort / windowed-aggregate building blocks (SURVEY §2.4 J1/J6 broadcast
 pattern, §2.5 aggregations, §2.6 sorts) on non-search workloads.
 
+Every function Ray Data runs here takes and returns Arrow tables.
+
 Patterns:
   - pricing_summary:  vectorized pyarrow filter+compute → multi-agg groupby
-  - segment_revenue:  broadcast-small-side join (customer dim via ray.put)
+  - segment_revenue:  broadcast-small-side join (the customer dim's key and
+    value arrays via ray.put, looked up with ``pc.index_in`` + ``take``)
   - events_hourly:    tumbling event-time window as a key+bucket groupby
   - top_customers:    join + aggregate + deterministic top-k sort
-  - purchase_attribution: AS-OF join (key-partition + in-group time sort +
-    forward fill) — the operator Ray Data lacks, composed per SURVEY §2.4
-  - clicks_before_purchase: banded RANGE join (key-partition + two-sided
-    vectorized searchsorted)
+  - events_sessions, purchase_attribution (AS-OF join),
+    clicks_before_purchase (banded RANGE join): the per-user operators Ray
+    Data lacks, composed per SURVEY §2.4 as a key partition on the keyed
+    kernel (``stages/keyed.bucket_groups`` on ``user_id``): one call per
+    bucket sorts its rows by user and time once, then numpy segment ops
+    work on each user's run of rows
   - events_sliding:   hopping window (map-side size× replication → groupby)
   - top_orders_per_segment: grouped top-k with a map-side combiner (local
     top-k per batch bounds shuffle rows at k·|groups| per batch)
@@ -24,12 +29,21 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.rounding import sql_round
+from ..stages.keyed import BUCKETS, bucket_groups
+
+SHIP_CUTOFF = "1998-09-01"  # pricing_summary's l_shipdate bound
+SESSION_GAP_US = 30 * 60_000_000  # events_sessions: a longer gap splits
+CLICK_WINDOW_US = 30 * 60_000_000  # clicks_before_purchase's band
+SLIDE_HOURS = 3  # events_sliding window size (hop 1 h)
+TOP_ORDERS_K = 3  # top_orders_per_segment
+TOP_CUSTOMERS_K = 10  # top_customers
 
 
 def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
@@ -46,12 +60,13 @@ _PARQUET_INFLATION = 4  # conservative snappy+dictionary decode factor
 
 
 def _collect_dim(sf_dir: str, table: str, columns, max_bytes=BROADCAST_MAX_BYTES):
-    """Collect a dimension table for a map-side broadcast join, with a loud
-    size gate BEFORE the read (VERDICT r3 #6): the on-disk parquet size ×
-    a decompression factor must fit ``max_bytes``.  A dim table over the
-    budget means broadcast is the wrong join — the error names the
-    scale-safe alternative (hash-partition both sides on the join key and
-    co-group, i.e. the ``near_dedup_keep`` flag-union shape)."""
+    """Read a dimension table on the driver, as one Arrow table, for a
+    map-side broadcast join, with a loud size gate BEFORE the read (VERDICT
+    r3 #6): the on-disk parquet size × a decompression factor must fit
+    ``max_bytes``.  A dim table over the budget means broadcast is the
+    wrong join — the error names the scale-safe alternative (hash-partition
+    both sides on the join key and co-group, i.e. the ``near_dedup_keep``
+    flag-union shape)."""
     path = os.path.join(sf_dir, f"{table}.parquet")
     on_disk = (
         sum(
@@ -70,10 +85,36 @@ def _collect_dim(sf_dir: str, table: str, columns, max_bytes=BROADCAST_MAX_BYTES
             "co-group (the flag-union anti-join pattern), or raise "
             "max_bytes explicitly."
         )
-    return _read(sf_dir, table, columns=columns).to_pandas()
+    return pq.read_table(path, columns=columns)
 
 
-def pricing_summary(sf_dir: str, cutoff: str = "1998-09-01") -> "ray.data.Dataset":
+def _broadcast_lookup(sf_dir: str, value: str):
+    """``ray.put`` ref of the customer dim's ``c_custkey`` and ``value``
+    arrays, for ``_lookup`` in the map tasks."""
+    cust = _collect_dim(sf_dir, "customer", ["c_custkey", value])
+    return ray.put((cust["c_custkey"].combine_chunks(),
+                    cust[value].combine_chunks()))
+
+
+def _lookup(ref, keys: pa.ChunkedArray) -> pa.ChunkedArray:
+    """The dim value of each key (null where the dim has no such key)."""
+    dim_keys, values = ray.get(ref)  # local plasma read after the first
+    return values.take(pc.index_in(keys, value_set=dim_keys))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags of the rows that start a run of equal (sorted) keys."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
+
+
+def _last_flagged(flags: np.ndarray) -> np.ndarray:
+    """Index of the last flagged row at or before each row (-1 if none)."""
+    return np.maximum.accumulate(np.where(flags, np.arange(len(flags)), -1))
+
+
+def pricing_summary(sf_dir: str) -> "ray.data.Dataset":
     """TPC-H Q1-shaped: filter by ship date, derived revenue columns, grouped
     multi-aggregate.  All per-batch math is pyarrow.compute (zero-copy)."""
     ds = _read(
@@ -83,7 +124,7 @@ def pricing_summary(sf_dir: str, cutoff: str = "1998-09-01") -> "ray.data.Datase
     )
 
     def derive(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.less_equal(t["l_shipdate"], pa.scalar(np.datetime64(cutoff, "us"))))
+        t = t.filter(pc.less_equal(t["l_shipdate"], pa.scalar(np.datetime64(SHIP_CUTOFF, "us"))))
         disc = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
         charge = pc.multiply(disc, pc.add(pa.scalar(1.0), t["l_tax"]))
         t = t.append_column("disc_price", disc)
@@ -122,18 +163,13 @@ def segment_revenue(sf_dir: str) -> "ray.data.Dataset":
     """Revenue per market segment: customer (small dim) broadcast once via
     ray.put, mapped into orders per batch — a map-side broadcast join, no
     shuffle of the fact table."""
-    cust = _collect_dim(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    seg_by_key = dict(zip(cust["c_custkey"], cust["c_mktsegment"]))
-    ref = ray.put(seg_by_key)
-
+    ref = _broadcast_lookup(sf_dir, "c_mktsegment")
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def tag(t: pa.Table) -> pa.Table:
-        lookup = ray.get(ref)
-        segs = [lookup.get(k) for k in t["o_custkey"].to_pylist()]
         return pa.table(
             {
-                "c_mktsegment": pa.array(segs, pa.string()),
+                "c_mktsegment": _lookup(ref, t["o_custkey"]),
                 "o_totalprice": t["o_totalprice"],
             }
         )
@@ -192,51 +228,49 @@ def events_hourly(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(round6, batch_format="pyarrow")
 
 
-def events_sessions(sf_dir: str, gap_minutes: int = 30) -> "ray.data.Dataset":
+def events_sessions(sf_dir: str) -> "ray.data.Dataset":
     """Session windows per user (gap-based sessionization): consecutive
-    events closer than ``gap_minutes`` belong to one session.  The Ray shape
-    of a streaming session window (SURVEY §2.9): partition by key, sort by
-    event time within the group, split on gaps — no watermarks needed on a
-    bounded log.  Deterministic ordering tie-break: (ts, event_id)."""
-    gap_us = gap_minutes * 60_000_000
+    events at most ``SESSION_GAP_US`` apart belong to one session.  The Ray
+    shape of a streaming session window (SURVEY §2.9): partition by key,
+    sort by event time within the key, split on gaps — no watermarks needed
+    on a bounded log.  Deterministic ordering tie-break: (ts, event_id);
+    ``session_id`` counts from 1 per user."""
     ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    import pandas as pd
-
-    def sessionize(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "user_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "session_id": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "start_us": pd.Series([], dtype="int64"),
-                    "end_us": pd.Series([], dtype="int64"),
-                    "sum_value": pd.Series([], dtype="float64"),
-                }
-            )
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        us = g["ts"].astype("int64")
-        brk = (us - us.shift(1) > gap_us) | us.shift(1).isna()
-        g = g.assign(_sid=brk.cumsum().astype("int64"), _us=us)
-        out = (
-            g.groupby("_sid", sort=True)
-            .agg(
-                user_id=("user_id", "first"),
-                n_events=("event_id", "count"),
-                start_us=("_us", "min"),
-                end_us=("_us", "max"),
-                sum_value=("value", "sum"),
-            )
-            .reset_index()
-            .rename(columns={"_sid": "session_id"})
+    def sessionize(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        uid = g["user_id"].to_numpy()
+        us = g["ts"].cast(pa.int64()).to_numpy()
+        new_user = _run_starts(uid)
+        brk = new_user.copy()
+        brk[1:] |= np.diff(us) > SESSION_GAP_US
+        starts = np.flatnonzero(brk)
+        ends = np.append(starts[1:], len(us))
+        first = _last_flagged(new_user[starts])  # the user's first session
+        return pa.table(
+            {
+                "user_id": pa.array(uid[starts]),
+                "session_id": pa.array(np.arange(len(starts)) - first + 1),
+                "n_events": pa.array(ends - starts),
+                "start_us": pa.array(us[starts]),
+                "end_us": pa.array(us[ends - 1]),
+                "sum_value": pa.array(sql_round(np.add.reduceat(
+                    g["value"].to_numpy(), starts), 6)),
+            }
         )
-        out["sum_value"] = sql_round(out["sum_value"].to_numpy(), 6)
-        out["n_events"] = out["n_events"].astype("int64")
-        return out[["user_id", "session_id", "n_events", "start_us", "end_us",
-                    "sum_value"]]
 
-    return ev.groupby("user_id").map_groups(sessionize, batch_format="pandas")
+    return bucket_groups(ev, "user_id", BUCKETS, sessionize)
+
+
+def _clicks_and_purchases(sf_dir: str) -> "ray.data.Dataset":
+    """The events of type click or purchase, for the two per-user joins."""
+    ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
+
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["event_type"], value_set=pa.array(["purchase", "click"])))
+
+    return ev.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def purchase_attribution(sf_dir: str) -> "ray.data.Dataset":
@@ -245,120 +279,92 @@ def purchase_attribution(sf_dir: str) -> "ray.data.Dataset":
 
     Ray Data has no asof-join operator; the scale-safe composition is the
     one documented in SURVEY §2.4: hash-partition BOTH sides by the join key
-    (one shuffle), sort by event time inside each group, and forward-fill —
-    per-group cost is O(n log n) in that user's events only, and no task
-    ever sees more than one user's history.  Partitioning assumption: a
-    user's full event history fits in one task (true for per-user activity
-    logs; a user with unbounded history would need time-range sub-splits
-    carrying the last click of the previous range as seed state).
+    (one shuffle), sort by event time inside each key, and forward-fill —
+    per-bucket cost is O(n log n) in that bucket's events, and a user's
+    rows never span two buckets.  Partitioning assumption: a user's full
+    event history fits in one task (true for per-user activity logs; a
+    user with unbounded history would need time-range sub-splits carrying
+    the last click of the previous range as seed state).
 
     Tie-breaks are pinned so the result is deterministic and SQL-matchable:
     at equal timestamps the click is visible to the purchase ("at-or-
     before" is inclusive), and among same-timestamp clicks the highest
     event_id wins."""
-    ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
 
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["event_type"], value_set=pa.array(["purchase", "click"])))
-
-    import pandas as pd
-
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
+    def asof(g: pa.Table) -> pa.Table:
+        # order: user, time, then clicks before purchases at equal time,
+        # then event_id — so the forward fill hands each purchase the
+        # latest eligible click
+        g = g.append_column(
+            "is_purchase", pc.not_equal(g["event_type"], "click")
+        ).sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                   ("is_purchase", "ascending"), ("event_id", "ascending")])
+        uid = g["user_id"].to_numpy()
+        eid = g["event_id"].to_numpy()
+        us = g["ts"].cast(pa.int64()).to_numpy()
+        is_p = g["is_purchase"].to_numpy()
+        last_click = _last_flagged(~is_p)
+        hit = is_p & (last_click >= _last_flagged(_run_starts(uid)))
+        c = last_click[hit]
+        return pa.table(
             {
-                "user_id": pd.Series([], dtype="int64"),
-                "purchase_id": pd.Series([], dtype="int64"),
-                "purchase_us": pd.Series([], dtype="int64"),
-                "click_id": pd.Series([], dtype="int64"),
-                "click_us": pd.Series([], dtype="int64"),
-            }
-        )
-        if len(g) == 0 or "user_id" not in g.columns:
-            return empty
-        us = g["ts"].astype("int64")
-        # order: time, then clicks before purchases at equal time, then
-        # event_id — so ffill hands each purchase the latest eligible click
-        g = g.assign(
-            _us=us, _rk=(g["event_type"] != "click").astype("int64")
-        ).sort_values(["_us", "_rk", "event_id"], kind="mergesort")
-        is_click = g["event_type"] == "click"
-        cid = g["event_id"].where(is_click).ffill()
-        cus = g["_us"].where(is_click).ffill()
-        out = g[(~is_click) & cid.notna()]
-        if len(out) == 0:
-            return empty
-        return pd.DataFrame(
-            {
-                "user_id": out["user_id"].astype("int64"),
-                "purchase_id": out["event_id"].astype("int64"),
-                "purchase_us": out["_us"].astype("int64"),
-                "click_id": cid[out.index].astype("int64"),
-                "click_us": cus[out.index].astype("int64"),
+                "user_id": pa.array(uid[hit]),
+                "purchase_id": pa.array(eid[hit]),
+                "purchase_us": pa.array(us[hit]),
+                "click_id": pa.array(eid[c]),
+                "click_us": pa.array(us[c]),
             }
         )
 
-    return (
-        ev.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .map_groups(asof, batch_format="pandas")
-    )
+    return bucket_groups(_clicks_and_purchases(sf_dir), "user_id", BUCKETS, asof)
 
 
-def clicks_before_purchase(sf_dir: str, window_minutes: int = 30) -> "ray.data.Dataset":
+def clicks_before_purchase(sf_dir: str) -> "ray.data.Dataset":
     """Banded RANGE JOIN: for each purchase, how many clicks the same user
-    made in the preceding ``window_minutes`` (exclusive) … purchase instant
-    (inclusive).
+    made in the preceding ``CLICK_WINDOW_US`` (exclusive) … purchase
+    instant (inclusive).
 
     Composition (SURVEY §2.4): one hash-partition of both sides by user,
-    then a vectorized two-sided ``searchsorted`` against that user's sorted
-    click times — O(log n) per probe, no per-row Python.  Same partitioning
-    assumption as :func:`purchase_attribution`; at unbounded per-key history
-    the band (30 min) makes a (user, time-bucket) co-partition with probes
-    into bucket b and b-1 the scale path."""
-    window_us = window_minutes * 60_000_000
-    ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
+    then one sort per bucket of its clicks together with two probes per
+    purchase (the purchase instant and the band start), by (user, time,
+    clicks before probes): the clicks a probe passes, minus those its
+    partner probe passes, are the user's clicks inside the band — no
+    per-row Python.  Same partitioning assumption as
+    :func:`purchase_attribution`; at unbounded per-key history the band
+    (30 min) makes a (user, time-bucket) co-partition with probes into
+    bucket b and b-1 the scale path."""
 
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["event_type"], value_set=pa.array(["purchase", "click"])))
-
-    import pandas as pd
-
-    def count_in_band(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "user_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "purchase_id": pd.Series([], dtype="int64"),
-                    "purchase_us": pd.Series([], dtype="int64"),
-                    "n_prior_clicks": pd.Series([], dtype="int64"),
-                }
-            )
-        us = g["ts"].astype("int64").to_numpy()
-        is_p = (g["event_type"] == "purchase").to_numpy()
-        cus = np.sort(us[~is_p])
-        pus = us[is_p]
-        n = np.searchsorted(cus, pus, side="right") - np.searchsorted(
-            cus, pus - window_us, side="right"
-        )
-        return pd.DataFrame(
+    def count_in_band(g: pa.Table) -> pa.Table:
+        uid = g["user_id"].to_numpy()
+        eid = g["event_id"].to_numpy()
+        us = g["ts"].cast(pa.int64()).to_numpy()
+        is_p = pc.equal(g["event_type"], "purchase").to_numpy()
+        pu, pus = uid[is_p], us[is_p]
+        n_c = len(uid) - len(pu)
+        users = np.concatenate([uid[~is_p], pu, pu])
+        times = np.concatenate([us[~is_p], pus, pus - CLICK_WINDOW_US])
+        is_probe = np.arange(len(users)) >= n_c
+        order = np.lexsort((is_probe, times, users))
+        passed = np.empty(len(users), dtype=np.int64)
+        passed[order] = np.cumsum(~is_probe[order])
+        at_purchase, at_band_start = passed[n_c:].reshape(2, len(pu))
+        return pa.table(
             {
-                "user_id": g["user_id"].to_numpy()[is_p],
-                "purchase_id": g["event_id"].to_numpy()[is_p],
-                "purchase_us": pus,
-                "n_prior_clicks": n.astype("int64"),
+                "user_id": pa.array(pu),
+                "purchase_id": pa.array(eid[is_p]),
+                "purchase_us": pa.array(pus),
+                "n_prior_clicks": pa.array(at_purchase - at_band_start),
             }
         )
 
-    return (
-        ev.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .map_groups(count_in_band, batch_format="pandas")
+    return bucket_groups(
+        _clicks_and_purchases(sf_dir), "user_id", BUCKETS, count_in_band
     )
 
 
-def events_sliding(sf_dir: str, size_hours: int = 3) -> "ray.data.Dataset":
+def events_sliding(sf_dir: str) -> "ray.data.Dataset":
     """SLIDING event-time window (size 3 h, hop 1 h) per user: every event
-    lands in ``size_hours`` consecutive windows, so the map side replicates
+    lands in ``SLIDE_HOURS`` consecutive windows, so the map side replicates
     each row size× with the window-start hour as the key — the standard
     shuffle shape of a hopping window (events_hourly is the size=1 special
     case).  Replication happens vectorized inside map_batches; the groupby
@@ -370,13 +376,13 @@ def events_sliding(sf_dir: str, size_hours: int = 3) -> "ray.data.Dataset":
         h = hour.to_numpy(zero_copy_only=False)
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         val = t["value"].to_numpy(zero_copy_only=False)
-        offs = np.arange(size_hours, dtype=np.int64)
+        offs = np.arange(SLIDE_HOURS, dtype=np.int64)
         win = (h[:, None] - offs[None, :]).ravel()
         rep = pa.table(
             {
-                "user_id": pa.array(np.repeat(uid, size_hours), pa.int64()),
+                "user_id": pa.array(np.repeat(uid, SLIDE_HOURS), pa.int64()),
                 "win_hour": pa.array(win, pa.int64()),
-                "value": pa.array(np.repeat(val, size_hours), pa.float64()),
+                "value": pa.array(np.repeat(val, SLIDE_HOURS), pa.float64()),
             }
         )
         # map-side combiner: collapse this batch's size×-replicated rows to
@@ -415,53 +421,39 @@ def events_sliding(sf_dir: str, size_hours: int = 3) -> "ray.data.Dataset":
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def top_orders_per_segment(sf_dir: str, k: int = 3) -> "ray.data.Dataset":
+def top_orders_per_segment(sf_dir: str) -> "ray.data.Dataset":
     """Top-k rows PER GROUP with a map-side combiner: each batch keeps only
     its local top-k per segment (vectorized), so at most k·|segments| rows
     per batch enter the shuffle — the grouped analogue of the pre-aggregate-
-    before-groupby rule.  Final per-group rank assigned in map_groups.
-    Deterministic tie-break: (o_totalprice desc, o_orderkey asc)."""
-    cust = _collect_dim(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    seg_by_key = dict(zip(cust["c_custkey"], cust["c_mktsegment"]))
-    ref = ray.put(seg_by_key)
-
-    import pandas as pd
-
+    before-groupby rule.  Final per-group rank assigned in map_groups (one
+    call per segment; there are five).  Deterministic tie-break:
+    (o_totalprice desc, o_orderkey asc); orders without a customer drop out,
+    as in an inner join."""
+    ref = _broadcast_lookup(sf_dir, "c_mktsegment")
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderkey", "o_totalprice"])
+    by_price = [("o_totalprice", "descending"), ("o_orderkey", "ascending")]
 
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(ref)
-        df = df.assign(c_mktsegment=df["o_custkey"].map(lookup))
-        df = df.sort_values(
-            ["c_mktsegment", "o_totalprice", "o_orderkey"],
-            ascending=[True, False, True],
-            kind="mergesort",
+    def local_topk(t: pa.Table) -> pa.Table:
+        t = t.select(["o_orderkey", "o_totalprice"]).add_column(
+            0, "c_mktsegment", _lookup(ref, t["o_custkey"])
         )
-        return df.groupby("c_mktsegment", sort=False).head(k)[
-            ["c_mktsegment", "o_orderkey", "o_totalprice"]
-        ]
+        t = t.filter(pc.is_valid(t["c_mktsegment"])).sort_by(
+            [("c_mktsegment", "ascending")] + by_price
+        )
+        seg = t["c_mktsegment"].to_numpy(zero_copy_only=False)
+        rank = np.arange(len(seg)) - _last_flagged(_run_starts(seg))
+        return t.filter(rank < TOP_ORDERS_K)
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "c_mktsegment" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series([], dtype="object"),
-                    "rank": pd.Series([], dtype="int64"),
-                    "o_orderkey": pd.Series([], dtype="int64"),
-                    "o_totalprice": pd.Series([], dtype="float64"),
-                }
-            )
-        g = g.sort_values(
-            ["o_totalprice", "o_orderkey"], ascending=[False, True],
-            kind="mergesort",
-        ).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-        return g[["c_mktsegment", "rank", "o_orderkey", "o_totalprice"]]
+    def final_topk(g: pa.Table) -> pa.Table:
+        g = g.sort_by(by_price).slice(0, TOP_ORDERS_K)
+        return g.add_column(
+            1, "rank", pa.array(np.arange(1, g.num_rows + 1, dtype=np.int64))
+        )
 
     return (
-        orders.map_batches(local_topk, batch_format="pandas")
+        orders.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("c_mktsegment")
-        .map_groups(final_topk, batch_format="pandas")
+        .map_groups(final_topk, batch_format="pyarrow")
     )
 
 
@@ -525,13 +517,11 @@ def events_props_stats(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(to64, batch_format="pyarrow")
 
 
-def top_customers(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
-    """Top-k customers by total order value: broadcast dim join for names,
-    aggregate, deterministic sort (value desc, custkey asc), limit."""
-    cust = _collect_dim(sf_dir, "customer", ["c_custkey", "c_name"])
-    names = dict(zip(cust["c_custkey"], cust["c_name"]))
-    ref = ray.put(names)
-
+def top_customers(sf_dir: str) -> "ray.data.Dataset":
+    """Top-k customers by total order value: broadcast dim join for names
+    (``""`` for an order without a customer), aggregate, deterministic sort
+    (value desc, custkey asc), limit."""
+    ref = _broadcast_lookup(sf_dir, "c_name")
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     agg = orders.groupby("o_custkey").aggregate(
         Sum("o_totalprice", alias_name="total_spent"),
@@ -539,14 +529,12 @@ def top_customers(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     )
 
     def attach(t: pa.Table) -> pa.Table:
-        lookup = ray.get(ref)
-        nm = [lookup.get(ck, "") for ck in t["o_custkey"].to_pylist()]
-        t = t.append_column("c_name", pa.array(nm, pa.string()))
+        t = t.append_column("c_name", pc.fill_null(_lookup(ref, t["o_custkey"]), ""))
         i = t.column_names.index("total_spent")
         return t.set_column(i, "total_spent", pc.round(t.column("total_spent"), 2, round_mode="half_towards_infinity"))
 
     return (
         agg.map_batches(attach, batch_format="pyarrow")
         .sort(["total_spent", "o_custkey"], descending=[True, False])
-        .limit(k)
+        .limit(TOP_CUSTOMERS_K)
     )

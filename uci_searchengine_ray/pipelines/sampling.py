@@ -187,20 +187,15 @@ def running_total(
         base.select_columns(keys + [value_col])
         .groupby(keys)
         .aggregate(Sum(value_col, alias_name="bsum"))
-        .to_pandas()
+        .take_all()
     )
+    # exclusive offsets: each group's bucket sums, added up in bucket order
     offsets: dict = {}
-    if group_col:
-        for g, sub in sums.groupby(group_col):
-            sub = sub.sort_values("bucket")
-            csum = sub["bsum"].cumsum().shift(fill_value=0)
-            for b, off in zip(sub["bucket"], csum):
-                offsets[(g, int(b))] = int(off)
-    else:
-        sums = sums.sort_values("bucket")
-        csum = sums["bsum"].cumsum().shift(fill_value=0)
-        for b, off in zip(sums["bucket"], csum):
-            offsets[int(b)] = int(off)
+    run: dict = {}
+    for r in sorted(sums, key=lambda r: r["bucket"]):
+        g, b = (r[group_col] if group_col else None), int(r["bucket"])
+        offsets[(g, b) if group_col else b] = run.get(g, 0)
+        run[g] = run.get(g, 0) + int(r["bsum"])
     off_ref = ray.put(offsets)
 
     def add_cum(group: pa.Table) -> pa.Table:

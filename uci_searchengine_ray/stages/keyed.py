@@ -1,7 +1,8 @@
-"""The keyed-group shuffle every curation and dedup operator shares:
-hash each row's key to one of ``num_buckets`` buckets, ``groupby`` the
-small-cardinality bucket column, and run a vectorized per-bucket function
-(numpy sort + segment ops) over all keys of a bucket at once.
+"""The keyed-group shuffle every curation, dedup and per-user relational
+operator shares: hash each row's key to one of ``num_buckets`` buckets,
+``groupby`` the small-cardinality bucket column, and run a vectorized
+per-bucket function (numpy sort + segment ops) over all keys of a bucket
+at once.
 
 Ray's generic sort-based aggregate calls Python once per group; at ~10⁶
 near-singleton key groups (pairs, line hashes, content hashes) that
@@ -17,6 +18,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -33,6 +35,22 @@ def pair_hash(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(33))
 
 
+def _hex_head(col: pa.ChunkedArray) -> np.ndarray:
+    """``int(s[:8], 16)`` of each string, as uint32, parsed from Arrow's
+    value buffer in one ``bytes.fromhex`` call.  A key that is null,
+    shorter than 8 characters or not hex raises ``ValueError``."""
+    heads = pc.utf8_slice_codeunits(col, 0, 8).cast(pa.string()).combine_chunks()
+    n = len(heads)
+    if heads.null_count or pc.any(pc.not_equal(pc.binary_length(heads), 8)).as_py():
+        raise ValueError("hex keys must be 8 or more ASCII characters")
+    lo = np.frombuffer(heads.buffers()[1], np.int32, 1, heads.offset * 4)[0]
+    raw = bytes.fromhex(  # ValueError on a non-hex digit
+        heads.buffers()[2].to_pybytes()[lo: lo + 8 * n].decode("ascii"))
+    if len(raw) != 4 * n:  # fromhex skips whitespace
+        raise ValueError("hex keys must not hold whitespace")
+    return np.frombuffer(raw, ">u4")
+
+
 def add_bucket(batch: pa.Table, key: Key, num_buckets: int) -> pa.Table:
     """``batch`` plus an int32 ``bucket`` column.  The formula follows the
     key's Arrow type:
@@ -40,7 +58,8 @@ def add_bucket(batch: pa.Table, key: Key, num_buckets: int) -> pa.Table:
     - integer column (already-uniform hashes or doc ids): the int64 bit
       pattern as uint64, mod ``num_buckets``;
     - string column (hex digests such as sha256): the first 8 hex chars
-      mod ``num_buckets`` — uniform because the key is itself a hash;
+      mod ``num_buckets`` (``_hex_head``) — uniform because the key is
+      itself a hash;
     - ``(doc_a, doc_b)`` pair: ``pair_hash`` of both ids."""
     if not isinstance(key, str):
         a, b = (batch[c].to_numpy(zero_copy_only=False) for c in key)
@@ -49,12 +68,7 @@ def add_bucket(batch: pa.Table, key: Key, num_buckets: int) -> pa.Table:
         keys = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
         buckets = keys.view(np.uint64) % np.uint64(num_buckets)
     else:
-        keys = batch[key].to_pylist()
-        buckets = np.fromiter(
-            (int(s[:8], 16) % num_buckets for s in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
+        buckets = _hex_head(batch[key]) % np.uint32(num_buckets)
     return batch.append_column("bucket", pa.array(buckets.astype(np.int32)))
 
 

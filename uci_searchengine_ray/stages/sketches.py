@@ -182,6 +182,8 @@ def merge_registers(reg_blobs) -> np.ndarray:
 
 CMS_D = 4        # hash rows
 CMS_W = 1 << 14  # counters per row (16384): eps ≈ 2/W over-estimate bound
+HH_CANDIDATES = 256  # heavy_hitters: local top values kept per block
+HH_BUCKETS = 8  # heavy_hitters: width of the partial-sketch SUM tree
 
 
 def _salt(j: int) -> np.uint64:
@@ -200,42 +202,35 @@ def _cms_query(cms: np.ndarray, h: np.ndarray) -> np.ndarray:
     return est
 
 
-def heavy_hitters(
-    ds: "ray.data.Dataset",
-    explode,
-    k: int = 20,
-    d: int = CMS_D,
-    w: int = CMS_W,
-    candidates_per_block: int = 256,
-    num_buckets: int = 8,
-) -> list:
+def heavy_hitters(ds: "ray.data.Dataset", explode, k: int = 20) -> list:
     """Approximate top-``k`` (value, count) without shuffling the value
     stream — the 100 TB heavy-hitters primitive beside the exact
     ``top_terms`` groupby.  ``explode(batch) -> list[str]`` yields the
     value occurrences (e.g. tokens).
 
-    One streaming pass per block emits (a) a d×w count-min partial —
-    merged by a bucketed SUM tree, O(buckets·d·w·8 B) driver state — and
-    (b) the block's local top-``candidates_per_block`` values (a true
-    heavy hitter is a local heavy hitter in at least one block, so the
-    candidate union contains the global top-k whenever k ≪ blocks ×
-    candidates_per_block).  Final counts = count-min point estimates
-    (min over rows; one-sided ≤ eps·N over-count, never under) over the
-    deduped candidate set, top-k by (count desc, value asc)."""
+    One streaming pass per block emits (a) a d×w count-min partial
+    (``CMS_D``×``CMS_W``) — merged by a bucketed SUM tree,
+    O(``HH_BUCKETS``·d·w·8 B) driver state — and (b) the block's local
+    top-``HH_CANDIDATES`` values (a true heavy hitter is a local heavy
+    hitter in at least one block, so the candidate union contains the
+    global top-k whenever k ≪ blocks × ``HH_CANDIDATES``).  Final counts
+    = count-min point estimates (min over rows; one-sided ≤ eps·N
+    over-count, never under) over the deduped candidate set, top-k by
+    (count desc, value asc)."""
     import collections
 
     def block_part(batch: pa.Table) -> pa.Table:
         values = explode(batch)
         cnt = collections.Counter(values)
-        top = cnt.most_common(candidates_per_block)
+        top = cnt.most_common(HH_CANDIDATES)
         h = _hash64(list(cnt.keys())) if cnt else np.empty(0, np.uint64)
         reps = np.fromiter(cnt.values(), dtype=np.int64, count=len(cnt))
-        cms = np.zeros((d, w), dtype=np.int64)
-        for j in range(d):
+        cms = np.zeros((CMS_D, CMS_W), dtype=np.int64)
+        for j in range(CMS_D):
             idx = (mix64(h ^ _salt(j))
-                   % np.uint64(w)).astype(np.int64)
+                   % np.uint64(CMS_W)).astype(np.int64)
             np.add.at(cms[j], idx, reps)
-        b = int(cms.sum()) % num_buckets
+        b = int(cms.sum()) % HH_BUCKETS
         return pa.table(
             {
                 "bucket": pa.array([b], pa.int32()),
@@ -246,7 +241,7 @@ def heavy_hitters(
         )
 
     def combine(group: pa.Table) -> pa.Table:
-        acc = np.zeros(d * w, dtype=np.int64)
+        acc = np.zeros(CMS_D * CMS_W, dtype=np.int64)
         cands: set = set()
         for r, c in zip(group["cms"].to_pylist(),
                         group["cand"].to_pylist()):
@@ -266,12 +261,12 @@ def heavy_hitters(
         .map_groups(combine, batch_format="pyarrow")
         .take_all()
     )
-    cms = np.zeros(d * w, dtype=np.int64)
+    cms = np.zeros(CMS_D * CMS_W, dtype=np.int64)
     cands: set = set()
     for r in rows:
         cms += np.frombuffer(r["cms"], dtype=np.int64)
         cands.update(r["cand"])
-    cms = cms.reshape(d, w)
+    cms = cms.reshape(CMS_D, CMS_W)
     cand_list = sorted(cands)
     if not cand_list:
         return []
